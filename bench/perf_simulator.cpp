@@ -11,9 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <random>
-#include <stdexcept>
 
 #include "cells/inverter.hpp"
 #include "core/characterize.hpp"
@@ -45,82 +43,6 @@ numeric::SparseMatrix random_system(std::size_t n, std::mt19937& rng) {
   return a;
 }
 
-/// The seed's map-based right-looking LU (pre-CSR), kept verbatim here as
-/// the reference point for the refactorization speedup claims.
-class LegacyMapLu {
- public:
-  explicit LegacyMapLu(const numeric::SparseMatrix& a) {
-    const std::size_t n = a.size();
-    rows_.resize(n);
-    perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rows_[i] = a.row(i);
-      perm_[i] = i;
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      std::size_t pivot_row = n;
-      double pivot_mag = 0.0;
-      for (std::size_t i = k; i < n; ++i) {
-        const auto it = rows_[i].find(k);
-        if (it == rows_[i].end()) continue;
-        const double mag = std::fabs(it->second);
-        if (mag > pivot_mag) {
-          pivot_mag = mag;
-          pivot_row = i;
-        }
-      }
-      if (pivot_row == n || !(pivot_mag > 0.0)) {
-        throw std::runtime_error("LegacyMapLu: singular");
-      }
-      if (pivot_row != k) {
-        std::swap(rows_[k], rows_[pivot_row]);
-        std::swap(perm_[k], perm_[pivot_row]);
-      }
-      const auto& pivot_entries = rows_[k];
-      const double pivot = pivot_entries.at(k);
-      for (std::size_t i = k + 1; i < n; ++i) {
-        auto& row = rows_[i];
-        const auto it = row.find(k);
-        if (it == row.end()) continue;
-        const double factor = it->second / pivot;
-        it->second = factor;
-        if (factor == 0.0) continue;
-        for (auto pit = pivot_entries.upper_bound(k);
-             pit != pivot_entries.end(); ++pit) {
-          row[pit->first] -= factor * pit->second;
-        }
-      }
-    }
-  }
-
-  [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const {
-    const std::size_t n = rows_.size();
-    std::vector<double> y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = b[perm_[i]];
-      const auto& row = rows_[i];
-      for (auto it = row.begin(); it != row.end() && it->first < i; ++it) {
-        acc -= it->second * y[it->first];
-      }
-      y[i] = acc;
-    }
-    std::vector<double> x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-      double acc = y[ii];
-      const auto& row = rows_[ii];
-      for (auto it = row.upper_bound(ii); it != row.end(); ++it) {
-        acc -= it->second * x[it->first];
-      }
-      x[ii] = acc / row.at(ii);
-    }
-    return x;
-  }
-
- private:
-  std::vector<std::map<std::size_t, double>> rows_;
-  std::vector<std::size_t> perm_;
-};
-
 void BM_DenseLuSolve(benchmark::State& state) {
   std::mt19937 rng(1);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -131,19 +53,6 @@ void BM_DenseLuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseLuSolve)->Arg(16)->Arg(64)->Arg(128);
-
-// The seed's solver: full map-based factorization on every call (what every
-// Newton iteration used to pay).
-void BM_LegacyMapLuFactorSolve(benchmark::State& state) {
-  std::mt19937 rng(1);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_system(n, rng);
-  const std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LegacyMapLu(a).solve(b));
-  }
-}
-BENCHMARK(BM_LegacyMapLuFactorSolve)->Arg(64)->Arg(256)->Arg(1024);
 
 // Fresh CSR factorization each call (symbolic analysis every time).
 void BM_SparseLuSolve(benchmark::State& state) {

@@ -1,5 +1,6 @@
 #include "netlist/elaborate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -381,6 +382,18 @@ class Elaborator {
     if (it == ast_.subckts.end()) {
       throw ParseError("unknown subcircuit '" + subckt_name + "'", line);
     }
+    // A subckt that instantiates itself, directly or through others, would
+    // expand forever: name the cycle instead.
+    const auto open = std::find(expanding_.begin(), expanding_.end(), subckt_name);
+    if (open != expanding_.end()) {
+      std::string cycle;
+      for (auto at = open; at != expanding_.end(); ++at) {
+        cycle += *at;
+        cycle += " -> ";
+      }
+      cycle += subckt_name;
+      throw ParseError("recursive subcircuit: " + cycle, line);
+    }
     const SubcktDef& def = it->second;
     const std::size_t node_count = first_assignment - 2;
     if (node_count != def.ports.size()) {
@@ -424,13 +437,16 @@ class Elaborator {
     }
 
     const std::string inner_prefix = util::to_lower(name) + ".";
+    expanding_.push_back(subckt_name);
     for (const DeviceCard& inner_card : def.devices) {
       instantiate(inner_card, inner_prefix, inner_map, inner);
     }
+    expanding_.pop_back();
   }
 
   const NetlistAst& ast_;
   sim::Circuit* circuit_ = nullptr;
+  std::vector<std::string> expanding_;  // subckts being expanded, outermost first
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "numeric/dense_matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -29,12 +28,6 @@ std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
     y[r] = acc;
   }
   return y;
-}
-
-double DenseMatrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 }  // namespace softfet::numeric

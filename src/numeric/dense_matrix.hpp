@@ -31,9 +31,6 @@ class DenseMatrix {
   [[nodiscard]] std::vector<double> multiply(
       const std::vector<double>& x) const;
 
-  /// Max-abs element (for conditioning diagnostics).
-  [[nodiscard]] double max_abs() const noexcept;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

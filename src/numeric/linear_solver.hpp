@@ -109,10 +109,6 @@ class LinearSolver {
   [[nodiscard]] std::vector<double> solve(const SparseMatrix& a,
                                           const std::vector<double>& b);
 
-  /// Drop cached factorization state (e.g. before reusing this solver for a
-  /// circuit with a different sparsity pattern).
-  void invalidate() noexcept { sparse_.invalidate(); }
-
   [[nodiscard]] SolverKind kind() const noexcept { return config_.kind; }
   [[nodiscard]] const LinearSolverConfig& config() const noexcept {
     return config_;

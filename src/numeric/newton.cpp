@@ -7,17 +7,12 @@
 
 namespace softfet::numeric {
 
-namespace {
-
-/// Index of the first non-finite entry, or kNoUnknown when all are finite.
-[[nodiscard]] std::size_t first_non_finite(const std::vector<double>& v) {
+std::size_t first_non_finite(const std::vector<double>& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (!std::isfinite(v[i])) return i;
   }
   return kNoUnknown;
 }
-
-}  // namespace
 
 const char* to_string(NewtonFailure failure) {
   switch (failure) {
@@ -122,28 +117,17 @@ NewtonResult solve_newton(NonlinearSystem& system, std::vector<double>& x,
       return result;
     }
 
-    // Per-unknown step limiting (keeps exponential devices in range).
-    for (std::size_t i = 0; i < n; ++i) {
-      const double limit = system.max_step(i);
-      if (limit > 0.0 && std::fabs(dx[i]) > limit) {
-        dx[i] = (dx[i] > 0.0) ? limit : -limit;
-      }
-    }
-
-    bool dx_converged = true;
+    // Step-limited update (keeps exponential devices in range) and the dx
+    // convergence test.
+    const bool dx_converged =
+        apply_newton_update(x, dx, options.reltol, system);
     double max_dx = 0.0;
     double max_residual = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double x_old = x[i];
-      x[i] += dx[i];
-      const double tol =
-          options.reltol * std::max(std::fabs(x[i]), std::fabs(x_old)) +
-          system.abstol(i);
       max_dx = std::max(max_dx, std::fabs(dx[i]));
       max_residual = std::max(
           max_residual, std::fabs(residual[i]) /
                             std::max(1.0, options.residual_tol_scale));
-      if (std::fabs(dx[i]) > tol) dx_converged = false;
     }
     result.max_dx = max_dx;
     result.max_residual = max_residual;

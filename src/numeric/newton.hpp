@@ -12,6 +12,8 @@
 // of unwinding the whole run.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -101,6 +103,30 @@ struct NewtonResult {
   /// Per-iteration (max_dx, max_residual) history of this solve.
   std::vector<IterationRecord> trace;
 };
+
+/// Index of the first non-finite entry of `v`, or kNoUnknown.
+[[nodiscard]] std::size_t first_non_finite(const std::vector<double>& v);
+
+/// One Newton update, shared by solve_newton and the batched transient
+/// engine: per unknown, clamp dx[i] to ±scales.max_step(i) (0 = unlimited),
+/// apply x[i] += dx[i], then test |dx[i]| against
+/// reltol·max(|x_new|, |x_old|) + scales.abstol(i). True when all pass.
+template <class Scales>
+[[nodiscard]] bool apply_newton_update(std::vector<double>& x,
+                                       std::vector<double>& dx, double reltol,
+                                       const Scales& scales) {
+  bool converged = true;
+  for (std::size_t i = 0; i < dx.size(); ++i) {
+    const double limit = scales.max_step(i);
+    if (limit > 0.0) dx[i] = std::clamp(dx[i], -limit, limit);
+    const double x_old = x[i];
+    x[i] += dx[i];
+    const double tol =
+        reltol * std::max(std::fabs(x[i]), std::fabs(x_old)) + scales.abstol(i);
+    if (std::fabs(dx[i]) > tol) converged = false;
+  }
+  return converged;
+}
 
 /// Run damped Newton from `x` (updated in place).
 [[nodiscard]] NewtonResult solve_newton(NonlinearSystem& system,

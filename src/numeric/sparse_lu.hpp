@@ -62,10 +62,6 @@ class SparseLu {
   /// reused and only the numeric elimination runs.
   void factor(const SparseMatrix& a);
 
-  /// Drop the cached symbolic analysis (call when the pattern is about to
-  /// change wholesale; factor() would also detect this on its own).
-  void invalidate() noexcept { n_ = 0; }
-
   /// True when a factorization is cached and solve() is callable.
   [[nodiscard]] bool valid() const noexcept { return n_ != 0; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }

@@ -1,17 +1,18 @@
 // Batched lockstep transient engine (see batch.hpp for the contract).
 //
-// Implementation notes: every lane carries the complete scalar run_transient
-// control state (dt controller, predictor history, reject counters) and the
-// round loop advances each active lane exactly one Newton iteration, packing
-// the lanes' linear systems into one BatchDenseLu factor/solve. The per-lane
-// code below intentionally mirrors transient.cpp and newton.cpp line for
-// line — any arithmetic drift there breaks the bitwise-identity contract, so
-// edits to those files must be reflected here (the equivalence tests catch
-// it).
+// Implementation notes: every lane carries its own detail::StepControl — the
+// same per-step controller run_transient drives (dt policy, predictor,
+// event cuts, LTE, accept, dt shrink) — and the round loop advances each
+// active lane exactly one Newton iteration, packing the lanes' linear
+// systems into one BatchDenseLu factor/solve. The Newton update and the
+// gmin shunts are the shared apply_newton_update and stamp_gmin_shunts.
+// What this engine keeps for itself is the round: packing, FlatJacobian
+// scatter, the batch LU, the relaxed device-major load plan, and eviction,
+// which stands in for every outcome the scalar engine would turn into a
+// recovery ladder, a budget truncation or a throw.
 #include "sim/batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <typeinfo>
 
@@ -20,102 +21,32 @@
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
 #include "sim/device.hpp"
+#include "sim/mna_system.hpp"
 #include "sim/stamper.hpp"
+#include "sim/step_control.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
-#include "util/units.hpp"
 
 namespace softfet::sim {
 
 namespace {
 
-constexpr double kEventBoundaryTolerance = 1e-9;  // matches transient.cpp
-
-/// Allocation-free twin of transient.cpp's History.
-struct LaneHistory {
-  double t_prev = 0.0;
-  double t_curr = 0.0;
-  std::vector<double> x_prev;
-  std::vector<double> x_curr;
-  bool has_two_points = false;
-
-  void reset(double t, const std::vector<double>& x) {
-    t_curr = t;
-    x_curr = x;
-    has_two_points = false;
-  }
-
-  void push(double t, const std::vector<double>& x) {
-    t_prev = t_curr;
-    x_prev = x_curr;
-    t_curr = t;
-    x_curr = x;
-    has_two_points = true;
-  }
-
-  void predict_into(double t, std::vector<double>& out) const {
-    if (!has_two_points || t_curr <= t_prev) {
-      out = x_curr;
-      return;
-    }
-    const double alpha = (t - t_curr) / (t_curr - t_prev);
-    out.resize(x_curr.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = x_curr[i] + alpha * (x_curr[i] - x_prev[i]);
-    }
-  }
-};
-
-/// Same arithmetic as transient.cpp's lte_ratio.
-[[nodiscard]] double lte_ratio(const std::vector<double>& x,
-                               const std::vector<double>& x_pred,
-                               std::size_t voltage_unknowns,
-                               const SimOptions& options) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < voltage_unknowns; ++i) {
-    const double scale = std::max({std::fabs(x[i]), std::fabs(x_pred[i]), 0.05});
-    const double tol = options.lte_reltol * scale;
-    worst = std::max(worst, std::fabs(x[i] - x_pred[i]) / tol);
-  }
-  return worst;
-}
-
-[[nodiscard]] std::size_t first_non_finite(const std::vector<double>& v) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!std::isfinite(v[i])) return i;
-  }
-  return v.size();
-}
-
 enum class LanePhase { kSolving, kDone, kEvicted };
 
 struct Lane {
-  Circuit* circuit = nullptr;
-  double tstop = 0.0;
-  BatchLaneOutcome* out = nullptr;
+  Lane(const BatchLaneSpec& spec, const SimOptions& options,
+       BatchLaneOutcome& outcome)
+      : out(&outcome), step(*spec.circuit, options, spec.tstop, outcome.tran) {}
 
-  LoadContext ctx;
+  BatchLaneOutcome* out;
+  detail::StepControl step;
+
   FlatJacobian flat;
   std::vector<double> residual;
-  std::vector<double> x;       // last accepted solution
-  std::vector<double> x_new;   // Newton iterate of the step in flight
-  std::vector<double> x_pred;  // predictor of the step in flight
   std::vector<double> dx;
-  std::vector<double> row;  // sample-row buffer
-  LaneHistory history;
-
-  double dtmax = 0.0;
-  double dt = 0.0;
-  double t = 0.0;
-  bool force_backward_euler = true;
-  int consecutive_rejects = 0;
-  int newton_failures = 0;
-  std::size_t voltage_unknowns = 0;
-  std::vector<int> pending_shrinks;
 
   int solve_iterations = 0;  // iterations of the solve in flight
-  std::size_t slot = 0;      // batch slot this round (when in_round)
-  bool in_round = false;
+  std::size_t slot = 0;      // batch slot in this round's solve
   LanePhase phase = LanePhase::kSolving;
 
   /// Stamp sink of the load in flight. Opened by begin_iteration and
@@ -131,12 +62,9 @@ class BatchEngine {
               const SimOptions& options,
               std::vector<BatchLaneOutcome>& outcomes)
       : options_(options), budget_timer_(options.budget) {
-    lanes_.resize(specs.size());
+    lanes_.reserve(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
-      Lane& lane = lanes_[s];
-      lane.circuit = specs[s].circuit;
-      lane.tstop = specs[s].tstop;
-      lane.out = &outcomes[s];
+      lanes_.emplace_back(specs[s], options, outcomes[s]);
     }
   }
 
@@ -158,7 +86,7 @@ class BatchEngine {
       round.clear();
       // Zero every lane column at once (cheaper than per-lane strided
       // clears); prepare_iteration stages each load in the lane's flat
-      // values buffer (L1-resident) and scatter copies the live patterns
+      // values buffer (L1-resident) and join_round copies the live patterns
       // on top. (Stamping straight into the strided SoA cells was tried
       // and measured slower: it turns every accumulate into a scattered
       // read-modify-write in the middle of the device-model code.)
@@ -167,14 +95,8 @@ class BatchEngine {
         // Bitwise contract (or no uniform device plan): the scalar-math
         // lane loop, untouched.
         for (Lane& lane : lanes_) {
-          if (lane.phase != LanePhase::kSolving) continue;
-          lane.slot = round.size();
-          if (prepare_iteration(lane)) {
-            scatter(lane);
-            lane.in_round = true;
-            round.push_back(&lane);
-          } else {
-            lane.in_round = false;
+          if (lane.phase == LanePhase::kSolving && prepare_iteration(lane)) {
+            join_round(lane, round);
           }
         }
       } else {
@@ -183,18 +105,15 @@ class BatchEngine {
         // then close out each load.
         staged.clear();
         for (Lane& lane : lanes_) {
-          if (lane.phase != LanePhase::kSolving) continue;
-          lane.in_round = false;
-          if (begin_iteration(lane)) staged.push_back(&lane);
+          if (lane.phase == LanePhase::kSolving && begin_iteration(lane)) {
+            staged.push_back(&lane);
+          }
         }
         load_round(staged);
         for (Lane* lane : staged) {
-          if (lane->phase != LanePhase::kSolving || !lane->stamper) continue;
-          lane->slot = round.size();
-          if (finish_load(*lane)) {
-            scatter(*lane);
-            lane->in_round = true;
-            round.push_back(lane);
+          if (lane->phase == LanePhase::kSolving && lane->stamper &&
+              finish_load(*lane)) {
+            join_round(*lane, round);
           }
         }
       }
@@ -219,41 +138,24 @@ class BatchEngine {
     lane.out->eviction_reason = std::move(reason);
   }
 
-  /// transient.cpp's note_attempt, against this lane's diagnostics.
-  int note_attempt(Lane& lane, const char* strategy) {
-    auto& diag = lane.out->tran.diagnostics;
-    const std::size_t before = diag.attempts.size();
-    diag.record_attempt({strategy, false,
-                         "t=" + util::format_si(lane.t, 4, "s") +
-                             " dt=" + util::format_si(lane.dt, 3, "s")});
-    return diag.attempts.size() > before ? static_cast<int>(before) : -1;
-  }
-
-  void mark_succeeded(Lane& lane, int attempt) {
-    if (attempt >= 0) {
-      lane.out->tran.diagnostics.attempts[static_cast<std::size_t>(attempt)]
-          .succeeded = true;
-    }
-  }
-
   void init_lane(Lane& lane) {
     TranResult& out = lane.out->tran;
     out.diagnostics.analysis = "transient";
     out.diagnostics.determinism = to_string(options_.determinism);
     try {
-      if (!(lane.tstop > 0.0)) {
+      if (!(lane.step.tstop > 0.0)) {
         // run_transient throws Error here; the scalar rerun reproduces it.
         evict(lane, "non-positive tstop");
         return;
       }
-      lane.circuit->prepare();
-      const std::size_t n = lane.circuit->unknown_count();
-      const std::size_t vu = lane.circuit->node_count() - 1;
+      lane.step.circuit.prepare();
+      const std::size_t n = lane.step.circuit.unknown_count();
+      const std::size_t vu = lane.step.circuit.node_count() - 1;
       if (n_ == 0) {
         n_ = n;
-        voltage_unknowns_ = vu;
+        scales_ = {&options_, vu};
       }
-      if (n != n_ || vu != voltage_unknowns_) {
+      if (n != n_ || vu != scales_.voltage_unknowns) {
         evict(lane, "unknown count differs from batch");
         return;
       }
@@ -263,23 +165,9 @@ class BatchEngine {
         evict(lane, "not dense-solver eligible");
         return;
       }
-      out.table = SignalTable(detail::signal_names(*lane.circuit));
+      out.table = SignalTable(detail::signal_names(lane.step.circuit));
 
-      OpResult op = dc_operating_point(*lane.circuit, options_);
-      lane.x = std::move(op.x);
-      detail::sample_row_into(*lane.circuit, lane.x, lane.row);
-      out.time.push_back(0.0);
-      out.table.append_row(lane.row);
-
-      lane.dtmax =
-          options_.dtmax > 0.0 ? options_.dtmax : lane.tstop / 200.0;
-      lane.dt = options_.dt_initial > 0.0
-                    ? options_.dt_initial
-                    : std::min(lane.tstop / 1e6, lane.dtmax);
-      lane.history.reset(0.0, lane.x);
-      lane.voltage_unknowns = lane.circuit->node_count() - 1;
-      lane.t = 0.0;
-      lane.force_backward_euler = true;
+      lane.step.start(dc_operating_point(lane.step.circuit, options_).x);
       lane.flat.reset(n_);
       lane.residual.assign(n_, 0.0);
       lane.dx.assign(n_, 0.0);
@@ -291,63 +179,35 @@ class BatchEngine {
     }
   }
 
-  /// Scalar loop head: decide whether another step starts, clamp dt, land
-  /// on breakpoints, build the predictor, and open a fresh Newton solve.
+  /// Open the lane's next step, or retire it when StepControl says the run
+  /// is over (done, or a budget/step limit the scalar engine handles).
   void begin_step(Lane& lane) {
-    TranResult& out = lane.out->tran;
-    if (!(lane.t < lane.tstop * (1.0 - 1e-12))) {
-      lane.phase = LanePhase::kDone;
-      return;
+    switch (lane.step.begin_step(budget_timer_)) {
+      case detail::StepControl::Head::kSolve:
+        lane.solve_iterations = 0;
+        return;
+      case detail::StepControl::Head::kDone:
+        lane.phase = LanePhase::kDone;
+        return;
+      case detail::StepControl::Head::kBudgetStop:
+        evict(lane, "budget stop at step head");
+        return;
+      case detail::StepControl::Head::kStepLimit:
+        evict(lane, "step budget exhausted");
+        return;
     }
-    if (budget_timer_.check(out.accepted_steps, out.newton_iterations) !=
-        util::BudgetStop::kNone) {
-      evict(lane, "budget stop at step head");
-      return;
-    }
-    if (out.accepted_steps + out.rejected_steps >= options_.max_steps) {
-      evict(lane, "step budget exhausted");
-      return;
-    }
-
-    double device_cap = kNeverTime;
-    for (const auto& device : lane.circuit->devices()) {
-      device_cap = std::min(device_cap, device->max_timestep());
-    }
-    lane.dt = std::min({lane.dt, device_cap, lane.dtmax, lane.tstop - lane.t});
-    lane.dt = std::max(lane.dt, options_.dtmin);
-
-    double breakpoint = kNeverTime;
-    for (const auto& device : lane.circuit->devices()) {
-      breakpoint = std::min(breakpoint, device->next_breakpoint(lane.t));
-    }
-    if (breakpoint > lane.t && breakpoint < lane.t + lane.dt) {
-      lane.dt = std::max(breakpoint - lane.t, options_.dtmin);
-    }
-
-    lane.ctx.mode = AnalysisMode::kTransient;
-    lane.ctx.method = (lane.force_backward_euler || !options_.use_trapezoidal)
-                          ? IntegrationMethod::kBackwardEuler
-                          : IntegrationMethod::kTrapezoidal;
-    lane.ctx.time = lane.t + lane.dt;
-    lane.ctx.dt = lane.dt;
-    lane.ctx.source_scale = 1.0;
-
-    lane.history.predict_into(lane.t + lane.dt, lane.x_pred);
-    lane.x_new = lane.x_pred;
-    lane.solve_iterations = 0;
   }
 
   /// Newton-iteration loop head (budget check, counters) through opening
   /// the lane's stamp sink. Returns false when the lane was evicted.
   bool begin_iteration(Lane& lane) {
-    TranResult& out = lane.out->tran;
     if (budget_timer_.check_now() != util::BudgetStop::kNone) {
       // solve_newton reports kBudgetExhausted; run_transient truncates.
       evict(lane, "budget stop in newton");
       return false;
     }
     ++lane.solve_iterations;
-    out.newton_iterations += 1;
+    ++lane.step.out.newton_iterations;
 
     lane.flat.begin_load();
     std::fill(lane.residual.begin(), lane.residual.end(), 0.0);
@@ -359,18 +219,14 @@ class BatchEngine {
   /// check, finite check. Returns true when the lane should join the
   /// round's batch solve.
   bool finish_load(Lane& lane) {
-    // gmin shunts in MnaSystem::load order (devices first, then shunts).
-    for (std::size_t i = 0; i < lane.voltage_unknowns; ++i) {
-      const int unknown = static_cast<int>(i);
-      lane.stamper->add_residual(unknown, options_.gmin * lane.x_new[i]);
-      lane.stamper->add_jacobian(unknown, unknown, options_.gmin);
-    }
+    stamp_gmin_shunts(*lane.stamper, lane.step.x_new, scales_.voltage_unknowns,
+                      options_.gmin);
     lane.stamper.reset();
     if (!lane.flat.end_load()) {
       evict(lane, "stamp pattern changed mid-run");
       return false;
     }
-    if (first_non_finite(lane.residual) != n_) {
+    if (numeric::first_non_finite(lane.residual) != numeric::kNoUnknown) {
       on_solve_failure(lane);
       return false;
     }
@@ -385,8 +241,8 @@ class BatchEngine {
   bool prepare_iteration(Lane& lane) {
     if (!begin_iteration(lane)) return false;
     try {
-      for (const auto& device : lane.circuit->devices()) {
-        device->load(lane.x_new, *lane.stamper, lane.ctx);
+      for (const auto& device : lane.step.circuit.devices()) {
+        device->load(lane.step.x_new, *lane.stamper, lane.step.ctx);
       }
     } catch (const Error& e) {
       lane.stamper.reset();
@@ -412,10 +268,10 @@ class BatchEngine {
       }
     }
     if (first == nullptr) return;
-    const auto& ref = first->circuit->devices();
+    const auto& ref = first->step.circuit.devices();
     for (const Lane& lane : lanes_) {
       if (lane.phase != LanePhase::kSolving) continue;
-      if (lane.circuit->devices().size() != ref.size()) return;
+      if (lane.step.circuit.devices().size() != ref.size()) return;
     }
     column_batched_.assign(ref.size(), 0);
     for (std::size_t j = 0; j < ref.size(); ++j) {
@@ -424,7 +280,7 @@ class BatchEngine {
         const std::type_info& type = typeid(*ref[j]);
         for (const Lane& lane : lanes_) {
           if (lane.phase != LanePhase::kSolving) continue;
-          if (typeid(*lane.circuit->devices()[j]) != type) {
+          if (typeid(*lane.step.circuit.devices()[j]) != type) {
             batched = false;
             break;
           }
@@ -447,8 +303,9 @@ class BatchEngine {
       for (Lane* lane : staged) {
         if (lane->phase != LanePhase::kSolving || !lane->stamper) continue;
         live_.push_back(lane);
-        peers_.push_back(lane->circuit->devices()[j].get());
-        views_.push_back({&lane->x_new, lane->stamper.get(), &lane->ctx});
+        peers_.push_back(lane->step.circuit.devices()[j].get());
+        views_.push_back(
+            {&lane->step.x_new, lane->stamper.get(), &lane->step.ctx});
       }
       if (live_.empty()) return;
       if (column_batched_[j] != 0) {
@@ -476,9 +333,11 @@ class BatchEngine {
     }
   }
 
-  /// Copy a staged load (flat values buffer) into the lane's SoA column
-  /// and RHS.
-  void scatter(Lane& lane) {
+  /// Give the lane the round's next batch slot and copy its staged load
+  /// (flat values buffer) into that SoA column and RHS.
+  void join_round(Lane& lane, std::vector<Lane*>& round) {
+    lane.slot = round.size();
+    round.push_back(&lane);
     const std::size_t L = lanes_.size();
     double* lu = lu_.values();
     const auto& slots = lane.flat.slots();
@@ -505,30 +364,14 @@ class BatchEngine {
     for (std::size_t i = 0; i < n_; ++i) {
       lane.dx[i] = dx_soa_[i * L + lane.slot];
     }
-    if (first_non_finite(lane.dx) != n_) {
+    if (numeric::first_non_finite(lane.dx) != numeric::kNoUnknown) {
       on_solve_failure(lane);
       return;
     }
-    // Per-unknown step limiting, then the dx convergence test — identical
-    // arithmetic and order to solve_newton.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double limit = max_step(i);
-      if (limit > 0.0 && std::fabs(lane.dx[i]) > limit) {
-        lane.dx[i] = (lane.dx[i] > 0.0) ? limit : -limit;
-      }
-    }
-    bool dx_converged = true;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double x_old = lane.x_new[i];
-      lane.x_new[i] += lane.dx[i];
-      const double tol =
-          options_.reltol *
-              std::max(std::fabs(lane.x_new[i]), std::fabs(x_old)) +
-          abstol(i);
-      if (std::fabs(lane.dx[i]) > tol) dx_converged = false;
-    }
-    if (dx_converged) {
-      on_solve_converged(lane);
+    if (numeric::apply_newton_update(lane.step.x_new, lane.dx,
+                                     options_.reltol, scales_)) {
+      lane.step.on_solve_converged(lane.solve_iterations, false);
+      begin_step(lane);
       return;
     }
     if (lane.solve_iterations >= options_.newton_max_iter) {
@@ -537,120 +380,32 @@ class BatchEngine {
     // Otherwise: the solve continues next round with the updated iterate.
   }
 
-  /// run_transient's !newton.converged branch. Budget exhaustion is handled
-  /// at prepare_iteration; everything that would climb the recovery ladder
-  /// or throw evicts instead.
+  /// A failed solve. Budget exhaustion inside a solve is handled at
+  /// begin_iteration; every outcome that would climb the scalar recovery
+  /// ladder, truncate or throw evicts the lane instead.
   void on_solve_failure(Lane& lane) {
-    TranResult& out = lane.out->tran;
-    ++out.rejected_steps;
-    ++lane.consecutive_rejects;
-    ++lane.newton_failures;
-    const bool at_min = lane.dt <= options_.dtmin * 1.0001;
-    const bool ladder_enabled = options_.recovery_escalate_after > 0;
-    if (ladder_enabled &&
-        (lane.newton_failures == options_.recovery_escalate_after || at_min)) {
-      // The scalar engine would climb the recovery ladder here (PR 3); the
-      // batch hands the sample back to it instead.
-      evict(lane, "recovery ladder triggered");
-      return;
-    }
-    if (budget_timer_.check_now() != util::BudgetStop::kNone) {
-      evict(lane, "budget stop after failed solve");
-      return;
-    }
-    if (at_min) {
-      // Ladder disabled: run_transient throws ConvergenceError at dtmin.
-      evict(lane, "newton failed at minimum timestep");
-      return;
-    }
-    lane.pending_shrinks.push_back(note_attempt(lane, "dt_shrink"));
-    lane.dt *= options_.dt_shrink;
-    lane.force_backward_euler = true;
-    begin_step(lane);
-  }
-
-  /// run_transient's post-convergence logic: shrink vindication, event
-  /// cuts, LTE control, acceptance, and the next-step dt policy.
-  void on_solve_converged(Lane& lane) {
-    TranResult& out = lane.out->tran;
-    for (const int attempt : lane.pending_shrinks) {
-      mark_succeeded(lane, attempt);
-    }
-    lane.pending_shrinks.clear();
-
-    double event_at = kNeverTime;
-    for (const auto& device : lane.circuit->devices()) {
-      event_at = std::min(
-          event_at, device->event_time(lane.x_new, lane.t, lane.t + lane.dt));
-    }
-    const bool event_on_boundary =
-        std::isfinite(event_at) &&
-        event_at >= lane.t + lane.dt * (1.0 - kEventBoundaryTolerance);
-    if (std::isfinite(event_at) && !event_on_boundary) {
-      const double cut = event_at - lane.t;
-      if (cut >= std::max(options_.dtmin, lane.dt * 1e-6)) {
-        ++out.rejected_steps;
-        lane.dt = cut;
+    switch (lane.step.on_solve_failure(budget_timer_)) {
+      case detail::StepControl::Failure::kRetry:
         begin_step(lane);
         return;
-      }
-    }
-
-    if (!lane.force_backward_euler && lane.consecutive_rejects < 15) {
-      const double ratio =
-          lte_ratio(lane.x_new, lane.x_pred, lane.voltage_unknowns, options_);
-      if (ratio > 4.0 && lane.dt > options_.dtmin * 4.0) {
-        ++out.rejected_steps;
-        ++lane.consecutive_rejects;
-        lane.dt *= 0.5;
-        begin_step(lane);
+      case detail::StepControl::Failure::kLadder:
+        evict(lane, "recovery ladder triggered");
         return;
-      }
-      if (ratio < 0.25) {
-        lane.dt *= options_.dt_grow;
-      } else if (ratio < 1.0) {
-        lane.dt *= 1.15;
-      }
-    } else {
-      lane.dt *= 1.5;  // recover step size after BE / trouble
+      case detail::StepControl::Failure::kTruncate:
+        evict(lane, "budget stop after failed solve");
+        return;
+      case detail::StepControl::Failure::kAtMin:
+        // Ladder disabled: run_transient throws ConvergenceError at dtmin.
+        evict(lane, "newton failed at minimum timestep");
+        return;
     }
-
-    for (const auto& device : lane.circuit->devices()) {
-      device->accept_step(lane.x_new, lane.ctx);
-    }
-    lane.t = lane.ctx.time;
-    lane.history.push(lane.t, lane.x_new);
-    lane.x = lane.x_new;
-    out.time.push_back(lane.t);
-    detail::sample_row_into(*lane.circuit, lane.x, lane.row);
-    out.table.append_row(lane.row);
-    ++out.accepted_steps;
-    lane.consecutive_rejects = 0;
-    lane.newton_failures = 0;
-
-    if (event_on_boundary) {
-      ++out.event_count;
-      lane.history.reset(lane.t, lane.x);
-      lane.force_backward_euler = true;
-    } else {
-      lane.force_backward_euler = false;
-    }
-    if (lane.solve_iterations > 25) lane.dt *= 0.7;
-    begin_step(lane);
-  }
-
-  [[nodiscard]] double abstol(std::size_t unknown) const {
-    return unknown < voltage_unknowns_ ? options_.vabstol : options_.iabstol;
-  }
-  [[nodiscard]] double max_step(std::size_t unknown) const {
-    return unknown < voltage_unknowns_ ? options_.v_max_step : 0.0;
   }
 
   const SimOptions& options_;
   util::BudgetTimer budget_timer_;
   std::vector<Lane> lanes_;
   std::size_t n_ = 0;
-  std::size_t voltage_unknowns_ = 0;
+  MnaScales scales_;
   numeric::BatchDenseLu lu_;
   std::vector<double> b_;
   std::vector<double> dx_soa_;

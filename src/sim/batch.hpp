@@ -9,17 +9,22 @@
 // tape instead of the map-backed SparseMatrix, and the numeric core — the
 // dominant scalar cost — runs lane-contiguous.
 //
+// Shared with run_transient: each lane's step control is a
+// detail::StepControl (dt policy, predictor, event cuts, LTE, accept, dt
+// shrink — see step_control.hpp), and each iteration ends in the same
+// numeric::apply_newton_update. This engine keeps the round itself: lane
+// packing, tape scatter, the batch LU, the relaxed device-major load plan,
+// and eviction.
+//
 // Determinism contract: a lane that runs to completion executes exactly the
 // floating-point operation sequence of scalar run_transient on the same
-// circuit (same predictor, same Newton updates, same dt controller, same
-// accept/reject decisions), so its TranResult is bitwise identical to the
-// scalar engine's. Anything the scalar engine would handle with machinery
-// the batch cannot replicate cheaply — the PR 3 recovery ladder, budget
-// truncation, non-finite blow-ups, singular pivots at minimum timestep —
-// instead *evicts* the lane: its partial result is discarded and the caller
-// reruns that sample on the untouched scalar path, which reproduces the
-// scalar behaviour by construction. One bad sample therefore never
-// serializes or perturbs the other K-1 lanes.
+// circuit, so its TranResult is bitwise identical to the scalar engine's.
+// Every outcome the scalar engine handles with machinery the batch does
+// not replicate — the recovery ladder, budget truncation, a failure at the
+// minimum timestep, a stamp-pattern change — instead *evicts* the lane: its
+// partial result is discarded and the caller reruns that sample on the
+// scalar path, which reproduces the scalar behaviour by construction. One
+// bad sample therefore never serializes or perturbs the other K-1 lanes.
 //
 // Divergence handling: lanes converge/accept/reject on their own schedules;
 // each round simply packs the still-active lanes into slots [0, m) of the

@@ -27,6 +27,7 @@ SweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
   // keeps the factorization structure cached across the whole sweep.
   numeric::LinearSolver solver(options.solver_config());
   std::vector<double> x(circuit.unknown_count(), 0.0);
+  std::vector<double> row;
 
   for (const double value : values) {
     settable->set_dc(value);
@@ -46,7 +47,8 @@ SweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
 
     for (const auto& dev : circuit.devices()) dev->init_state(x);
     result.axis.push_back(value);
-    result.table.append_row(detail::sample_row(circuit, x));
+    detail::sample_row_into(circuit, x, row);
+    result.table.append_row(row);
   }
   return result;
 }

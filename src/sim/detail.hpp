@@ -4,12 +4,17 @@
 #include <vector>
 
 #include "numeric/linear_solver.hpp"
+#include "numeric/newton.hpp"
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "sim/options.hpp"
 #include "util/error.hpp"
 
 namespace softfet::sim::detail {
+
+/// Newton options from the simulator tolerances (no solver instance or
+/// budget attached).
+[[nodiscard]] numeric::NewtonOptions newton_options(const SimOptions& options);
 
 /// Robust DC solve (direct Newton -> gmin stepping -> source stepping).
 /// `x` is the warm start in and the solution out; returns Newton iterations.
@@ -32,13 +37,9 @@ void fill_solver_stats(SolverDiagnostics& diag,
 /// Collect the full signal-name list: unknown labels then device probes.
 [[nodiscard]] std::vector<std::string> signal_names(const Circuit& circuit);
 
-/// Build one sample row matching signal_names(): unknowns then probes.
-[[nodiscard]] std::vector<double> sample_row(const Circuit& circuit,
-                                             const std::vector<double>& x);
-
-/// sample_row into a caller-owned buffer — no per-row allocation, and probe
-/// values come from Device::probe_values so no name strings are built.
-/// Row sampling runs once per accepted step, making this the hot variant.
+/// Build one sample row matching signal_names() — unknowns then probes —
+/// into a caller-owned buffer: no per-row allocation, and probe values come
+/// from Device::probe_values so no name strings are built.
 void sample_row_into(const Circuit& circuit, const std::vector<double>& x,
                      std::vector<double>& row);
 

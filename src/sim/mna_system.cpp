@@ -9,10 +9,9 @@ namespace softfet::sim {
 MnaSystem::MnaSystem(Circuit& circuit, const SimOptions& options,
                      LoadContext& context)
     : circuit_(circuit),
-      options_(options),
       context_(context),
       gmin_(options.gmin),
-      voltage_unknowns_(circuit.node_count() - 1) {
+      scales_{&options, circuit.node_count() - 1} {
   if (!circuit.prepared()) {
     throw InvalidCircuitError("MnaSystem: circuit not prepared");
   }
@@ -27,21 +26,24 @@ void MnaSystem::load(const std::vector<double>& x,
   for (const auto& device : circuit_.devices()) {
     device->load(x, stamper, context_);
   }
-  // gmin shunts keep otherwise-floating nodes (capacitor-only, gate nodes
-  // in DC) numerically pinned.
-  for (std::size_t i = 0; i < voltage_unknowns_; ++i) {
+  stamp_gmin_shunts(stamper, x, scales_.voltage_unknowns, gmin_);
+}
+
+void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
+                       std::size_t voltage_unknowns, double gmin) {
+  for (std::size_t i = 0; i < voltage_unknowns; ++i) {
     const int unknown = static_cast<int>(i);
-    stamper.add_residual(unknown, gmin_ * x[i]);
-    stamper.add_jacobian(unknown, unknown, gmin_);
+    stamper.add_residual(unknown, gmin * x[i]);
+    stamper.add_jacobian(unknown, unknown, gmin);
   }
 }
 
 double MnaSystem::abstol(std::size_t unknown) const {
-  return unknown < voltage_unknowns_ ? options_.vabstol : options_.iabstol;
+  return scales_.abstol(unknown);
 }
 
 double MnaSystem::max_step(std::size_t unknown) const {
-  return unknown < voltage_unknowns_ ? options_.v_max_step : 0.0;
+  return scales_.max_step(unknown);
 }
 
 std::string MnaSystem::unknown_label(std::size_t unknown) const {

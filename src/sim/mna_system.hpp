@@ -7,8 +7,30 @@
 #include "numeric/newton.hpp"
 #include "sim/circuit.hpp"
 #include "sim/options.hpp"
+#include "sim/stamper.hpp"
 
 namespace softfet::sim {
+
+/// Per-unknown Newton scales of an MNA system: the first `voltage_unknowns`
+/// unknowns are node voltages (vabstol, v_max_step clamp), the rest branch
+/// currents (iabstol, unlimited).
+struct MnaScales {
+  const SimOptions* options = nullptr;
+  std::size_t voltage_unknowns = 0;
+
+  [[nodiscard]] double abstol(std::size_t unknown) const {
+    return unknown < voltage_unknowns ? options->vabstol : options->iabstol;
+  }
+  [[nodiscard]] double max_step(std::size_t unknown) const {
+    return unknown < voltage_unknowns ? options->v_max_step : 0.0;
+  }
+};
+
+/// gmin shunts to ground on every node, stamped after the devices: they keep
+/// otherwise-floating nodes (capacitor-only, gate nodes in DC) numerically
+/// pinned.
+void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
+                       std::size_t voltage_unknowns, double gmin);
 
 class MnaSystem final : public numeric::NonlinearSystem {
  public:
@@ -36,10 +58,9 @@ class MnaSystem final : public numeric::NonlinearSystem {
 
  private:
   Circuit& circuit_;
-  const SimOptions& options_;
   LoadContext& context_;
   double gmin_;
-  std::size_t voltage_unknowns_;
+  MnaScales scales_;
 };
 
 }  // namespace softfet::sim

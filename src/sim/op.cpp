@@ -9,19 +9,15 @@
 
 namespace softfet::sim {
 
-namespace {
+namespace detail {
 
-[[nodiscard]] numeric::NewtonOptions newton_options(const SimOptions& options) {
+numeric::NewtonOptions newton_options(const SimOptions& options) {
   numeric::NewtonOptions nopt;
   nopt.max_iterations = options.newton_max_iter;
   nopt.reltol = options.reltol;
   nopt.solver = options.solver;
   return nopt;
 }
-
-}  // namespace
-
-namespace detail {
 
 void fill_solver_stats(SolverDiagnostics& diag,
                        const numeric::LinearSolver& solver) {
@@ -158,13 +154,6 @@ std::vector<std::string> signal_names(const Circuit& circuit) {
     }
   }
   return names;
-}
-
-std::vector<double> sample_row(const Circuit& circuit,
-                               const std::vector<double>& x) {
-  std::vector<double> row;
-  sample_row_into(circuit, x, row);
-  return row;
 }
 
 void sample_row_into(const Circuit& circuit, const std::vector<double>& x,

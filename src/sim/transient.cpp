@@ -1,6 +1,7 @@
-// Adaptive-timestep transient analysis.
+// Adaptive-timestep transient analysis: the scalar engine.
 //
-// Strategy:
+// Strategy (the per-step decisions live in detail::StepControl, shared with
+// the batched lockstep engine — see step_control.hpp):
 //  - start from the DC operating point;
 //  - backward Euler on the first step and immediately after discrete device
 //    events (PTM phase flips), trapezoidal otherwise;
@@ -10,78 +11,25 @@
 //    breakpoints;
 //  - devices may cut a candidate step at an internal event time (PTM
 //    threshold crossings) so state flips land on step boundaries.
-//  - on Newton failure a recovery ladder escalates instead of aborting:
-//    dt shrink with forced backward Euler (the cheap, common rung), then —
-//    after repeated failures or at the minimum timestep — predictor reset
-//    to the last accepted state, transient gmin ramping, and per-step
-//    source ramping; every attempt is recorded in the result diagnostics.
+//
+// What this engine keeps for itself: each solve is a full solve_newton over
+// one LinearSolver, and failures are handled here — on Newton failure a
+// recovery ladder escalates instead of aborting (dt shrink with forced
+// backward Euler is StepControl's cheap, common rung; after repeated
+// failures or at the minimum timestep this engine resets the predictor to
+// the last accepted state, ramps a transient gmin, and ramps the sources per
+// step; every attempt is recorded in the result diagnostics), a tripped run
+// budget truncates the result, and a step that cannot be solved throws
+// ConvergenceError with the failing node, device and iteration trace.
 #include <algorithm>
-#include <cmath>
 
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
 #include "sim/mna_system.hpp"
+#include "sim/step_control.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
-#include "util/units.hpp"
 
 namespace softfet::sim {
-
-namespace {
-
-constexpr double kEventBoundaryTolerance = 1e-9;  // relative to dt
-
-struct History {
-  double t_prev = 0.0;
-  double t_curr = 0.0;
-  std::vector<double> x_prev;
-  std::vector<double> x_curr;
-  bool has_two_points = false;
-
-  void reset(double t, const std::vector<double>& x) {
-    t_curr = t;
-    x_curr = x;
-    has_two_points = false;
-  }
-
-  void push(double t, const std::vector<double>& x) {
-    t_prev = t_curr;
-    x_prev = x_curr;
-    t_curr = t;
-    x_curr = x;
-    has_two_points = true;
-  }
-
-  /// Linear extrapolation to `t` (constant when only one point is known).
-  [[nodiscard]] std::vector<double> predict(double t) const {
-    if (!has_two_points || t_curr <= t_prev) return x_curr;
-    const double alpha = (t - t_curr) / (t_curr - t_prev);
-    std::vector<double> x(x_curr.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = x_curr[i] + alpha * (x_curr[i] - x_prev[i]);
-    }
-    return x;
-  }
-};
-
-/// Ratio of predictor-corrector mismatch to the acceptable local error;
-/// > 1 means the step was too optimistic. Only node voltages participate:
-/// trapezoidal companion state makes branch currents jump as dt -> 0
-/// (i = 2C/dt*dq - i_prev), so a current-based LTE never converges.
-[[nodiscard]] double lte_ratio(const std::vector<double>& x,
-                               const std::vector<double>& x_pred,
-                               std::size_t voltage_unknowns,
-                               const SimOptions& options) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < voltage_unknowns; ++i) {
-    const double scale = std::max({std::fabs(x[i]), std::fabs(x_pred[i]), 0.05});
-    const double tol = options.lte_reltol * scale;
-    worst = std::max(worst, std::fabs(x[i] - x_pred[i]) / tol);
-  }
-  return worst;
-}
-
-}  // namespace
 
 TranResult run_transient(Circuit& circuit, double tstop,
                          const SimOptions& options) {
@@ -99,10 +47,9 @@ TranResult run_transient(Circuit& circuit, double tstop,
   out.table = SignalTable(detail::signal_names(circuit));
 
   // Operating point at t = 0 (also initializes device state).
-  std::vector<double> x;
+  std::vector<double> x0;
   try {
-    OpResult op = dc_operating_point(circuit, options);
-    x = std::move(op.x);
+    x0 = dc_operating_point(circuit, options).x;
   } catch (const BudgetExceededError& e) {
     // Budget spent before a single timepoint existed: a truncated result
     // with an empty waveform, not a failure throw — the caller's contract
@@ -112,148 +59,89 @@ TranResult run_transient(Circuit& circuit, double tstop,
     out.diagnostics.failure = e.what();
     return out;
   }
-  // Reused for every accepted point: sampling runs per step, so the row
-  // buffer and the string-free probe_values path keep it allocation-free.
-  std::vector<double> row_buffer;
-  detail::sample_row_into(circuit, x, row_buffer);
-  out.time.push_back(0.0);
-  out.table.append_row(row_buffer);
+  detail::StepControl step(circuit, options, tstop, out);
+  step.start(std::move(x0));
+  LoadContext& ctx = step.ctx;
 
-  LoadContext ctx;
   MnaSystem system(circuit, options, ctx);
   // One solver for the whole transient: the MNA pattern is fixed, so every
   // step after the first reuses the symbolic analysis and pivot order.
   numeric::LinearSolver solver(options.solver_config());
-  numeric::NewtonOptions nopt;
-  nopt.max_iterations = options.newton_max_iter;
-  nopt.reltol = options.reltol;
-  nopt.solver = options.solver;
+  numeric::NewtonOptions nopt = detail::newton_options(options);
   nopt.solver_instance = &solver;
   nopt.budget = &budget_timer;
-
-  const double dtmax = options.dtmax > 0.0 ? options.dtmax : tstop / 200.0;
-  double dt = options.dt_initial > 0.0 ? options.dt_initial
-                                       : std::min(tstop / 1e6, dtmax);
-
-  History history;
-  history.reset(0.0, x);
-
-  const std::size_t voltage_unknowns = circuit.node_count() - 1;
-  double t = 0.0;
-  bool force_backward_euler = true;  // first step
-  int consecutive_rejects = 0;
-  int newton_failures = 0;        // consecutive, reset on acceptance
-  bool escalated_at_min = false;  // ladder runs at most twice per step
-
-  // Record a recovery attempt; returns its index for later success marking
-  // (-1 when the bounded log is full).
-  const auto note_attempt = [&](const char* strategy) {
-    const std::size_t before = out.diagnostics.attempts.size();
-    out.diagnostics.record_attempt(
-        {strategy, false,
-         "t=" + util::format_si(t, 4, "s") +
-             " dt=" + util::format_si(dt, 3, "s")});
-    return out.diagnostics.attempts.size() > before
-               ? static_cast<int>(before)
-               : -1;
-  };
-  const auto mark_succeeded = [&](int attempt) {
-    if (attempt >= 0) {
-      out.diagnostics.attempts[static_cast<std::size_t>(attempt)].succeeded =
-          true;
-    }
-  };
 
   // Failure context for a thrown ConvergenceError: the accumulated attempt
   // log plus the last failed solve's worst node/device and iteration trace.
   const auto failure_diagnostics = [&](const numeric::NewtonResult& last,
                                        const std::vector<double>& x_at_failure,
-                                       MnaSystem& sys, std::string why) {
+                                       std::string why) {
     SolverDiagnostics d = out.diagnostics;
     d.failure = std::move(why);
-    d.time = t;
-    d.last_dt = dt;
+    d.time = step.t;
+    d.last_dt = step.dt;
     d.iterations = last.iterations;
     d.total_iterations = static_cast<int>(out.newton_iterations);
     d.worst_residual = last.worst_residual;
     d.iteration_trace = last.trace;
     if (last.worst_unknown != numeric::kNoUnknown) {
-      d.worst_node = sys.unknown_label(last.worst_unknown);
-      d.worst_device = sys.blame_device(x_at_failure, last.worst_unknown);
+      d.worst_node = system.unknown_label(last.worst_unknown);
+      d.worst_device = system.blame_device(x_at_failure, last.worst_unknown);
     }
     detail::fill_solver_stats(d, solver);
     return d;
   };
 
-  // One backward-Euler corrector solve for the current (t, dt) window.
+  // One backward-Euler corrector solve for the (t, dt) window begin_step
+  // set up.
   const auto solve_once = [&](std::vector<double>& trial) {
-    ctx.mode = AnalysisMode::kTransient;
     ctx.method = IntegrationMethod::kBackwardEuler;
-    ctx.time = t + dt;
-    ctx.dt = dt;
     const auto r = numeric::solve_newton(system, trial, nopt);
     out.newton_iterations += static_cast<std::size_t>(r.iterations);
     return r;
   };
 
-  // Escalated recovery: backward-Euler solves at the current dt starting
-  // from the last accepted state. On success `x_rec` holds the solution.
-  const auto try_ladder = [&](std::vector<double>& x_rec) -> bool {
-    // Rung 1: predictor reset — retry from the last accepted state instead
-    // of the (possibly wild) extrapolated predictor.
-    {
-      const int attempt = note_attempt("predictor_reset");
-      x_rec = x;
-      ctx.source_scale = 1.0;
-      if (solve_once(x_rec).converged) {
-        mark_succeeded(attempt);
-        return true;
-      }
-    }
+  // Escalated recovery: backward-Euler solves at the current dt, each rung
+  // restarting from the last accepted state instead of the (possibly wild)
+  // extrapolated predictor. On success `x_rec` holds the solution.
+  const auto try_ladder = [&](std::vector<double>& x_rec) {
+    const auto converges = [&] { return solve_once(x_rec).converged; };
+    const auto rung = [&](const char* strategy, const auto& solves) {
+      const int attempt = step.note_attempt(strategy);
+      x_rec = step.x;
+      const bool ok = solves();
+      if (ok) step.mark_succeeded(attempt);
+      return ok;
+    };
+    // Rung 1: predictor reset — just the restart.
+    if (rung("predictor_reset", converges)) return true;
     // Rung 2: transient gmin ramp — solve under a strong node-to-ground
     // shunt, then walk it back down in decades to the configured floor.
-    {
-      const int attempt = note_attempt("gmin_ramp");
-      x_rec = x;
-      ctx.source_scale = 1.0;
+    const bool gmin_ok = rung("gmin_ramp", [&] {
       bool ok = true;
-      for (double g = std::max(options.recovery_gmin_start, options.gmin);;
-           g = std::max(g * 0.1, options.gmin)) {
+      for (double g = std::max(options.recovery_gmin_start, options.gmin);
+           ok; g = std::max(g * 0.1, options.gmin)) {
         system.set_gmin(g);
-        if (!solve_once(x_rec).converged) {
-          ok = false;
-          break;
-        }
+        ok = converges();
         if (g <= options.gmin) break;
       }
       system.set_gmin(options.gmin);
-      if (ok) {
-        mark_succeeded(attempt);
-        return true;
-      }
-    }
+      return ok;
+    });
+    if (gmin_ok) return true;
     // Rung 3: per-step source ramp — continuation from weak drive back up
     // to the full sources at this timepoint.
-    {
-      const int attempt = note_attempt("source_ramp");
-      x_rec = x;
+    const bool source_ok = rung("source_ramp", [&] {
       bool ok = true;
       const int steps = std::max(options.recovery_source_steps, 1);
-      for (int k = 1; k <= steps; ++k) {
+      for (int k = 1; k <= steps && ok; ++k) {
         ctx.source_scale = static_cast<double>(k) / steps;
-        if (!solve_once(x_rec).converged) {
-          ok = false;
-          break;
-        }
+        ok = converges();
       }
-      ctx.source_scale = 1.0;
-      if (ok) {
-        mark_succeeded(attempt);
-        return true;
-      }
-    }
+      return ok;
+    });
     ctx.source_scale = 1.0;
-    return false;
+    return source_ok;
   };
 
   // Flag the result truncated with full failure context; the partial
@@ -261,180 +149,61 @@ TranResult run_transient(Circuit& circuit, double tstop,
   const auto mark_truncated = [&](util::BudgetStop stop,
                                   const numeric::NewtonResult& last) {
     out.diagnostics = failure_diagnostics(
-        last, x, system, std::string("run budget: ") + util::to_string(stop));
+        last, step.x, std::string("run budget: ") + util::to_string(stop));
     out.truncated = true;
     out.stop_reason = stop;
   };
 
-  // dt_shrink attempts whose outcome is not yet known; marked succeeded
-  // when a subsequent plain solve converges.
-  std::vector<int> pending_shrinks;
-
-  while (t < tstop * (1.0 - 1e-12)) {
-    // The budget gate covers every loop path — accepted steps, LTE rejects,
-    // and event cuts alike — so an event storm spinning on tiny cut steps
-    // still terminates when the wall clock runs out.
-    if (const util::BudgetStop stop =
-            budget_timer.check(out.accepted_steps, out.newton_iterations);
-        stop != util::BudgetStop::kNone) {
-      mark_truncated(stop, numeric::NewtonResult{});
+  using Head = detail::StepControl::Head;
+  using Failure = detail::StepControl::Failure;
+  while (true) {
+    const Head head = step.begin_step(budget_timer);
+    if (head == Head::kDone) break;
+    if (head == Head::kBudgetStop) {
+      mark_truncated(step.stop, numeric::NewtonResult{});
       return out;
     }
-    if (out.accepted_steps + out.rejected_steps >= options.max_steps) {
-      numeric::NewtonResult none;
+    if (head == Head::kStepLimit) {
       throw ConvergenceError(
-          "transient",
-          failure_diagnostics(none, x, system, "step budget exhausted"));
+          "transient", failure_diagnostics(numeric::NewtonResult{}, step.x,
+                                           "step budget exhausted"));
     }
 
-    // Clamp dt: device caps, global max, remaining span.
-    double device_cap = kNeverTime;
-    for (const auto& device : circuit.devices()) {
-      device_cap = std::min(device_cap, device->max_timestep());
-    }
-    dt = std::min({dt, device_cap, dtmax, tstop - t});
-    dt = std::max(dt, options.dtmin);
-
-    // Land exactly on the next source breakpoint if it falls inside.
-    double breakpoint = kNeverTime;
-    for (const auto& device : circuit.devices()) {
-      breakpoint = std::min(breakpoint, device->next_breakpoint(t));
-    }
-    if (breakpoint > t && breakpoint < t + dt) {
-      dt = std::max(breakpoint - t, options.dtmin);
-    }
-
-    ctx.mode = AnalysisMode::kTransient;
-    ctx.method = (force_backward_euler || !options.use_trapezoidal)
-                     ? IntegrationMethod::kBackwardEuler
-                     : IntegrationMethod::kTrapezoidal;
-    ctx.time = t + dt;
-    ctx.dt = dt;
-    ctx.source_scale = 1.0;
-
-    const std::vector<double> x_pred = history.predict(t + dt);
-    std::vector<double> x_new = x_pred;
-    const auto newton = numeric::solve_newton(system, x_new, nopt);
+    const auto newton = numeric::solve_newton(system, step.x_new, nopt);
     out.newton_iterations += static_cast<std::size_t>(newton.iterations);
-
-    bool recovered = false;
-    if (!newton.converged &&
-        newton.failure == numeric::NewtonFailure::kBudgetExhausted) {
+    if (newton.failure == numeric::NewtonFailure::kBudgetExhausted) {
       // Not a numerical reject: the solve was cut short by the budget.
       util::BudgetStop stop = budget_timer.check_now();
       if (stop == util::BudgetStop::kNone) stop = util::BudgetStop::kWallClock;
       mark_truncated(stop, newton);
       return out;
     }
+
+    bool recovered = false;
     if (!newton.converged) {
-      ++out.rejected_steps;
-      ++consecutive_rejects;
-      ++newton_failures;
-      const bool at_min = dt <= options.dtmin * 1.0001;
-      const bool ladder_enabled = options.recovery_escalate_after > 0;
-      if (ladder_enabled &&
-          (newton_failures == options.recovery_escalate_after ||
-           (at_min && !escalated_at_min))) {
-        if (at_min) escalated_at_min = true;
-        recovered = try_ladder(x_new);
+      auto action = step.on_solve_failure(budget_timer);
+      if (action == Failure::kLadder) {
+        recovered = try_ladder(step.x_new);
+        if (!recovered) action = step.resolve_failure(budget_timer);
       }
       if (!recovered) {
-        // A ladder defeated by the budget (its solves stop converging once
-        // the timer trips) must truncate, not throw the at-min failure.
-        if (const util::BudgetStop stop = budget_timer.check_now();
-            stop != util::BudgetStop::kNone) {
-          mark_truncated(stop, newton);
+        if (action == Failure::kTruncate) {
+          mark_truncated(step.stop, newton);
           return out;
         }
-        if (at_min) {
+        if (action == Failure::kAtMin) {
           throw ConvergenceError(
               "transient",
               failure_diagnostics(
-                  newton, x_new, system,
+                  newton, step.x_new,
                   std::string("Newton failed at minimum timestep (") +
                       numeric::to_string(newton.failure) + ")"));
         }
-        pending_shrinks.push_back(note_attempt("dt_shrink"));
-        dt *= options.dt_shrink;
-        force_backward_euler = true;  // robustness after trouble
-        continue;
+        continue;  // dt shrunk: retry the step
       }
     }
-
-    // A converged plain solve vindicates any outstanding dt shrinks; a
-    // ladder recovery means they were not what fixed the step.
-    if (newton.converged) {
-      for (const int attempt : pending_shrinks) mark_succeeded(attempt);
-    }
-    pending_shrinks.clear();
-
-    // Discrete device events strictly inside the step: cut the step there.
-    double event_at = kNeverTime;
-    for (const auto& device : circuit.devices()) {
-      event_at = std::min(event_at, device->event_time(x_new, t, t + dt));
-    }
-    const bool event_on_boundary =
-        std::isfinite(event_at) &&
-        event_at >= t + dt * (1.0 - kEventBoundaryTolerance);
-    if (std::isfinite(event_at) && !event_on_boundary) {
-      const double cut = event_at - t;
-      if (cut >= std::max(options.dtmin, dt * 1e-6)) {
-        ++out.rejected_steps;
-        dt = cut;
-        continue;
-      }
-      // Event essentially at the step start: take a minimal step so the
-      // device can commit the flip.
-    }
-
-    // Local-error control (not after discontinuities, where the predictor
-    // is meaningless, and not when we are already struggling).
-    if (!recovered && !force_backward_euler && consecutive_rejects < 15) {
-      const double ratio = lte_ratio(x_new, x_pred, voltage_unknowns, options);
-      if (ratio > 4.0 && dt > options.dtmin * 4.0) {
-        ++out.rejected_steps;
-        ++consecutive_rejects;
-        dt *= 0.5;
-        continue;
-      }
-      // Pre-compute growth for the next step from this ratio.
-      if (ratio < 0.25) {
-        dt *= options.dt_grow;
-      } else if (ratio < 1.0) {
-        dt *= 1.15;
-      }
-    } else if (!recovered) {
-      dt *= 1.5;  // recover step size after BE / trouble
-    }
-
-    // Accept.
-    for (const auto& device : circuit.devices()) {
-      device->accept_step(x_new, ctx);
-    }
-    t = ctx.time;
-    history.push(t, x_new);
-    x = x_new;
-    out.time.push_back(t);
-    detail::sample_row_into(circuit, x, row_buffer);
-    out.table.append_row(row_buffer);
-    ++out.accepted_steps;
-    if (recovered) ++out.recovered_steps;
-    consecutive_rejects = 0;
-    newton_failures = 0;
-    escalated_at_min = false;
-
-    if (event_on_boundary) {
-      ++out.event_count;
-      history.reset(t, x);          // old slope is meaningless now
-      force_backward_euler = true;  // BE across the discontinuity
-    } else {
-      // A recovered step converged under backward Euler from a troubled
-      // spot: stay on BE for one more step before trusting trapezoidal.
-      force_backward_euler = recovered;
-    }
-    if (newton.iterations > 25) dt *= 0.7;
+    step.on_solve_converged(newton.iterations, recovered);
   }
-
   detail::fill_solver_stats(out.diagnostics, solver);
   return out;
 }

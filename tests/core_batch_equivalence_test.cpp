@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -50,6 +51,16 @@ void expect_tran_bitwise(const ss::TranResult& a, const ss::TranResult& b) {
   EXPECT_EQ(a.newton_iterations, b.newton_iterations);
   EXPECT_EQ(a.event_count, b.event_count);
   EXPECT_EQ(a.recovered_steps, b.recovered_steps);
+  ASSERT_EQ(a.diagnostics.attempts.size(), b.diagnostics.attempts.size());
+  for (std::size_t i = 0; i < a.diagnostics.attempts.size(); ++i) {
+    SCOPED_TRACE("attempt " + std::to_string(i));
+    EXPECT_EQ(a.diagnostics.attempts[i].strategy,
+              b.diagnostics.attempts[i].strategy);
+    EXPECT_EQ(a.diagnostics.attempts[i].succeeded,
+              b.diagnostics.attempts[i].succeeded);
+    EXPECT_EQ(a.diagnostics.attempts[i].detail,
+              b.diagnostics.attempts[i].detail);
+  }
   EXPECT_FALSE(a.truncated);
   EXPECT_FALSE(b.truncated);
 }
@@ -96,27 +107,42 @@ TEST(BatchEquivalence, McStatsBitwiseAcrossLanesAndThreads) {
 }
 
 // Engine-level contract: every completed lane's TranResult — time axis,
-// every table column, every counter — equals scalar run_transient on an
-// identical circuit bit for bit.
+// every table column, every counter, every recovery attempt — equals scalar
+// run_transient on an identical circuit bit for bit. The last lane's
+// Jacobian goes NaN for exactly one solve: a single dt_shrink cures it, so
+// it stays in the batch and must reproduce the scalar shrink record too.
 TEST(BatchEquivalence, RunTransientBatchMatchesScalarBitwise) {
-  const double v_imts[] = {0.33, 0.38, 0.44};
+  const double v_imts[] = {0.33, 0.38, 0.44, 0.38};
+  constexpr std::size_t kShrinkLane = 3;
 
-  auto make_bench = [&](double v_imt) {
+  auto make_bench = [&](std::size_t k) {
     auto spec = soft_base();
-    spec.dut.ptm->v_imt = v_imt;
-    return softfet::cells::make_inverter_testbench(spec);
+    spec.dut.ptm->v_imt = v_imts[k];
+    auto bench = softfet::cells::make_inverter_testbench(spec);
+    if (k == kShrinkLane) {
+      bench.circuit.add<softfet::testing::FaultDevice>(
+          "FNAN", bench.circuit.find_node("out"),
+          softfet::testing::FaultMode::kNanJacobian, 50e-12, 1e-9,
+          /*fault_budget=*/1);
+    }
+    return bench;
   };
 
   // Scalar oracle runs on its own circuit instances.
   std::vector<ss::TranResult> scalar;
-  for (const double v_imt : v_imts) {
-    auto bench = make_bench(v_imt);
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    auto bench = make_bench(k);
     scalar.push_back(
         ss::run_transient(bench.circuit, bench.suggested_tstop));
   }
+  ASSERT_FALSE(scalar[kShrinkLane].diagnostics.attempts.empty());
+  EXPECT_EQ(scalar[kShrinkLane].diagnostics.attempts[0].strategy,
+            "dt_shrink");
 
   std::vector<softfet::cells::InverterTestbench> benches;
-  for (const double v_imt : v_imts) benches.push_back(make_bench(v_imt));
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    benches.push_back(make_bench(k));
+  }
   std::vector<ss::BatchLaneSpec> lanes;
   for (auto& bench : benches) {
     lanes.push_back({&bench.circuit, bench.suggested_tstop});

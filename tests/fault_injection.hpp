@@ -132,11 +132,13 @@ class FaultDevice final : public sim::Device {
         }
         break;
       case FaultMode::kNanJacobian:
-        if (armed) {
-          ++injected_;
-          stamper.add_jacobian(unknown_, unknown_,
-                               std::numeric_limits<double>::quiet_NaN());
-        }
+        // Disarmed, the same entry gets an exact zero: the stamp pattern
+        // stays value-independent, as a real device's is, so the batched
+        // engine's replay tape sees the NaN instead of a pattern change.
+        if (armed) ++injected_;
+        stamper.add_jacobian(
+            unknown_, unknown_,
+            armed ? std::numeric_limits<double>::quiet_NaN() : 0.0);
         break;
       case FaultMode::kSingularRow:
         if (armed) {

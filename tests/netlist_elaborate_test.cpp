@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "devices/mosfet.hpp"
 #include "devices/ptm.hpp"
@@ -161,6 +162,63 @@ TEST(Elaborate, SemanticErrors) {
   EXPECT_THROW(
       (void)nl::compile_netlist(".model m1 nmos\nP1 a 0 m1\n"),
       softfet::ParseError);
+}
+
+// A subckt that instantiates itself, directly or through another, must be
+// a parse error naming the cycle at the closing instance's line, not
+// unbounded recursion.
+TEST(Elaborate, RecursiveSubcktsAreParseErrors) {
+  struct Case {
+    const char* netlist;
+    int line;
+    const char* cycle;
+  };
+  const Case cases[] = {
+      {R"(self
+.subckt loop a b
+R1 a b 1k
+X1 a b loop
+.ends
+X0 in 0 loop
+V1 in 0 1
+)",
+       4, "recursive subcircuit: loop -> loop"},
+      {R"(mutual
+.subckt ping a
+X1 a pong
+.ends
+.subckt pong a
+R1 a 0 1k
+X2 a ping
+.ends
+X0 in ping
+V1 in 0 1
+)",
+       7, "recursive subcircuit: ping -> pong -> ping"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cycle);
+    try {
+      (void)nl::compile_netlist(c.netlist);
+      ADD_FAILURE() << "recursive subckt elaborated";
+    } catch (const softfet::ParseError& e) {
+      EXPECT_EQ(e.line(), c.line);
+      EXPECT_NE(std::string(e.what()).find(c.cycle), std::string::npos)
+          << e.what();
+    }
+  }
+  // The same subckt used twice side by side is not a cycle.
+  EXPECT_NO_THROW((void)nl::compile_netlist(R"(siblings
+.subckt leaf a
+R1 a 0 1k
+.ends
+.subckt pair a
+X1 a leaf
+X2 a leaf
+.ends
+X0 in pair
+V1 in 0 1
+)"));
 }
 
 TEST(Elaborate, SubcktUnknownParamOverrideRejected) {

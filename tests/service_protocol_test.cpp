@@ -314,3 +314,36 @@ TEST(Protocol, RetryAfterHintTracksQueueDepthAndLatency) {
   }
   server.wait_idle();
 }
+
+// A netlist whose subckt instantiates itself used to recurse until the
+// stack overflowed, killing a thread-mode server. Now the job ends in a
+// structured parse error and the same server still answers the next ping.
+TEST(Protocol, RecursiveSubcktJobGetsParseErrorAndServerStaysUp) {
+  ss::ServerConfig config;
+  config.isolation = ss::IsolationMode::kThread;
+  const auto owned = std::make_unique<ss::Server>(config);
+  ss::Server& server = *owned;
+  HintCollector out;
+  const ss::Sink sink = out.sink();
+
+  ss::JsonValue req = ss::JsonValue::object();
+  req.set("id", ss::JsonValue::string("r1"));
+  req.set("type", ss::JsonValue::string("netlist"));
+  req.set("netlist",
+          ss::JsonValue::string("recursive\n.subckt loop a b\nR1 a b 1k\n"
+                                "X1 a b loop\n.ends\nX0 in 0 loop\n"
+                                "V1 in 0 1\n.op\n.end\n"));
+  server.handle_line(req.dump(), sink);
+  ASSERT_TRUE(out.await("r1", "error"));
+  const auto events = out.events("r1");
+  const ss::JsonValue& error = events.back();
+  EXPECT_EQ(error.string_or("event", ""), "error");
+  EXPECT_EQ(error.string_or("code", ""), ss::kErrorParse);
+  EXPECT_NE(error.string_or("message", "").find("recursive subcircuit"),
+            std::string::npos);
+  EXPECT_EQ(error.number_or("netlist_line", -1), 4.0);
+
+  server.handle_line(R"({"id":"p1","type":"ping"})", sink);
+  ASSERT_TRUE(out.await("p1", "result"));
+  server.wait_idle();
+}
