@@ -51,6 +51,22 @@ namespace t40 = softfet::devices::tech40;
   return eq != std::string::npos && eq > 0 && eq + 1 < token.size();
 }
 
+/// Index of the first name=value token of an instance card (its size when
+/// there is none). The subckt name sits just before it.
+[[nodiscard]] std::size_t first_assignment(
+    const std::vector<std::string>& tokens) {
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    if (is_assignment(tokens[i])) return i;
+  }
+  return tokens.size();
+}
+
+// Bounds on hostile input, far above any real netlist: each subckt level
+// costs stack in the recursive expansion, and a subckt instantiating its
+// child twice per level doubles the device count with every level.
+constexpr std::size_t kMaxSubcktDepth = 100;
+constexpr std::size_t kMaxSubcktDevices = 1000000;
+
 struct Assignments {
   std::map<std::string, std::string> raw;
 
@@ -366,18 +382,11 @@ class Elaborator {
     const std::vector<std::string>& tokens = card.tokens;
     const int line = card.line;
     // Layout: X<name> node1 ... nodeN subcktName [param=value ...]
-    std::size_t first_assignment = tokens.size();
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      if (is_assignment(tokens[i])) {
-        first_assignment = i;
-        break;
-      }
-    }
-    if (first_assignment < 3) {
+    const std::size_t assignments = first_assignment(tokens);
+    if (assignments < 3) {
       throw ParseError("subcircuit instance needs nodes and a name", line);
     }
-    const std::string subckt_name =
-        util::to_lower(tokens[first_assignment - 1]);
+    const std::string subckt_name = util::to_lower(tokens[assignments - 1]);
     const auto it = ast_.subckts.find(subckt_name);
     if (it == ast_.subckts.end()) {
       throw ParseError("unknown subcircuit '" + subckt_name + "'", line);
@@ -394,8 +403,23 @@ class Elaborator {
       cycle += subckt_name;
       throw ParseError("recursive subcircuit: " + cycle, line);
     }
+    if (expanding_.empty()) {
+      // A top-level instance: bound its whole expansion before starting it.
+      const Extent whole = extent(subckt_name, 1);
+      if (whole.depth > kMaxSubcktDepth) {
+        throw ParseError("subcircuit nesting deeper than " +
+                             std::to_string(kMaxSubcktDepth) + " levels",
+                         line);
+      }
+      expanded_devices_ += whole.devices;
+      if (expanded_devices_ > kMaxSubcktDevices) {
+        throw ParseError("subcircuits expand to more than " +
+                             std::to_string(kMaxSubcktDevices) + " devices",
+                         line);
+      }
+    }
     const SubcktDef& def = it->second;
-    const std::size_t node_count = first_assignment - 2;
+    const std::size_t node_count = assignments - 2;
     if (node_count != def.ports.size()) {
       throw ParseError("subcircuit '" + subckt_name + "' expects " +
                            std::to_string(def.ports.size()) + " nodes, got " +
@@ -413,7 +437,7 @@ class Elaborator {
     // evaluated in the parent scope.
     ParamScope inner(&scope);
     const Assignments overrides =
-        collect_assignments(tokens, first_assignment, line);
+        collect_assignments(tokens, assignments, line);
     for (const auto& [pname, pdefault] : def.default_params) {
       const auto ov = overrides.raw.find(pname);
       const std::string& source = (ov != overrides.raw.end()) ? ov->second
@@ -444,9 +468,49 @@ class Elaborator {
     expanding_.pop_back();
   }
 
+  /// Nesting depth and device count of a subckt's full expansion.
+  struct Extent {
+    std::size_t depth = 0;
+    std::size_t devices = 0;
+  };
+
+  /// Extent of `subckt_name` entered at nesting level `level`, each field
+  /// capped one past its limit (the walk stops there too). Memoized. A subckt
+  /// already on the walk is a cycle, and an unknown one an error, that the
+  /// expansion reports with its line; both count as empty here.
+  Extent extent(const std::string& subckt_name, std::size_t level) {
+    if (level > kMaxSubcktDepth) return {kMaxSubcktDepth + 1, 0};
+    const auto it = ast_.subckts.find(subckt_name);
+    if (it == ast_.subckts.end()) return {};
+    if (const auto memo = extents_.find(subckt_name); memo != extents_.end()) {
+      return memo->second;
+    }
+    extents_[subckt_name] = {};  // on the walk
+    Extent total{1, 0};
+    for (const DeviceCard& card : it->second.devices) {
+      const bool instance = std::tolower(static_cast<unsigned char>(
+                                card.tokens[0].front())) == 'x';
+      const std::size_t assignments = first_assignment(card.tokens);
+      if (!instance || assignments < 3) {
+        ++total.devices;
+        continue;
+      }
+      const Extent child =
+          extent(util::to_lower(card.tokens[assignments - 1]), level + 1);
+      total.depth = std::min(std::max(total.depth, child.depth + 1),
+                             kMaxSubcktDepth + 1);
+      total.devices =
+          std::min(total.devices + child.devices, kMaxSubcktDevices + 1);
+    }
+    extents_[subckt_name] = total;
+    return total;
+  }
+
   const NetlistAst& ast_;
   sim::Circuit* circuit_ = nullptr;
   std::vector<std::string> expanding_;  // subckts being expanded, outermost first
+  std::map<std::string, Extent> extents_;
+  std::size_t expanded_devices_ = 0;  // devices of the expanded subckts
 };
 
 }  // namespace

@@ -31,7 +31,8 @@ NewtonResult solve_newton(NonlinearSystem& system, std::vector<double>& x,
   const std::size_t n = system.size();
   if (x.size() != n) throw Error("solve_newton: initial guess size mismatch");
 
-  SparseMatrix jacobian(n);
+  SparseMatrix& jacobian = system.jacobian();
+  if (jacobian.size() != n) jacobian.reset(n);
   std::vector<double> residual(n, 0.0);
   std::vector<double> rhs(n);
   LinearSolver local_solver(options.solver);
@@ -71,9 +72,10 @@ NewtonResult solve_newton(NonlinearSystem& system, std::vector<double>& x,
     }
     result.iterations = iter + 1;
 
-    jacobian.set_zero_keep_structure();
+    jacobian.begin_load();
     std::fill(residual.begin(), residual.end(), 0.0);
     system.load(x, jacobian, residual);
+    (void)jacobian.end_load();  // a departed load still sums exactly
 
     // Non-finite guard: a NaN/Inf from a device evaluation would otherwise
     // propagate through the factorization and burn the whole iteration

@@ -52,6 +52,13 @@ class NonlinearSystem {
   [[nodiscard]] virtual std::string unknown_label(std::size_t unknown) const {
     return "x[" + std::to_string(unknown) + "]";
   }
+
+  /// The Jacobian store solve_newton loads into. It lives as long as the
+  /// system, so the stamp tape one solve records replays in the next.
+  [[nodiscard]] SparseMatrix& jacobian() noexcept { return jacobian_; }
+
+ private:
+  SparseMatrix jacobian_;
 };
 
 struct NewtonOptions {

@@ -42,11 +42,10 @@ std::vector<std::vector<std::size_t>> pattern_adjacency(
   const std::size_t n = a.size();
   std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& [col, value] : a.row(i)) {
-      (void)value;
-      if (col == i) continue;
-      adj[i].push_back(col);
-      adj[col].push_back(i);
+    for (const auto& e : a.row(i)) {
+      if (e.col == i) continue;
+      adj[i].push_back(e.col);
+      adj[e.col].push_back(i);
     }
   }
   for (auto& neighbors : adj) {
@@ -252,8 +251,8 @@ std::size_t symbolic_fill_natural(
 namespace {
 
 /// Flatten a SparseMatrix pattern into (row_ptr, cols) — the exact-match
-/// cache key. Row maps iterate in ascending column order, so the key is
-/// canonical for a given pattern.
+/// cache key. Rows hold ascending columns, so the key is canonical for a
+/// given pattern.
 void pattern_key(const SparseMatrix& a, std::vector<std::size_t>& row_ptr,
                  std::vector<std::size_t>& cols) {
   const std::size_t n = a.size();
@@ -262,10 +261,7 @@ void pattern_key(const SparseMatrix& a, std::vector<std::size_t>& row_ptr,
   cols.clear();
   row_ptr.push_back(0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& [col, value] : a.row(i)) {
-      (void)value;
-      cols.push_back(col);
-    }
+    for (const auto& e : a.row(i)) cols.push_back(e.col);
     row_ptr.push_back(cols.size());
   }
 }

@@ -52,7 +52,9 @@ void SparseLu::analyze(const SparseMatrix& a) {
         rows[i].emplace(qinv_[col], value);
       }
     } else {
-      rows[i] = a.row(i);
+      for (const auto& [col, value] : a.row(i)) {
+        rows[i].emplace_hint(rows[i].end(), col, value);
+      }
     }
     perm[i] = i;
   }
@@ -126,19 +128,16 @@ void SparseLu::analyze(const SparseMatrix& a) {
     row_ptr_[i + 1] = cols_.size();
   }
 
-  std::size_t a_nnz = 0;
-  for (std::size_t i = 0; i < n; ++i) a_nnz += a.row(i).size();
-  a_nnz_ = a_nnz;
+  a_nnz_ = a.nonzeros();
   a_row_ptr_.assign(n + 1, 0);
   a_cols_.clear();
-  a_cols_.reserve(a_nnz);
+  a_cols_.reserve(a_nnz_);
   a_scatter_.clear();
-  a_scatter_.reserve(a_nnz);
+  a_scatter_.reserve(a_nnz_);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& [col, value] : a.row(perm_[i])) {
-      (void)value;
-      a_cols_.push_back(col);
-      a_scatter_.push_back(reorder ? qinv_[col] : col);
+    for (const auto& e : a.row(perm_[i])) {
+      a_cols_.push_back(e.col);
+      a_scatter_.push_back(reorder ? qinv_[e.col] : e.col);
     }
     a_row_ptr_[i + 1] = a_cols_.size();
   }
@@ -155,7 +154,7 @@ bool SparseLu::try_refactor(const SparseMatrix& a) {
   // from all earlier U rows in ascending pivot order (the same operation
   // order as the analyzing pass), then gather back into the CSR slots.
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& a_row = a.row(perm_[i]);
+    const auto a_row = a.row(perm_[i]);
     const std::size_t expected = a_row_ptr_[i + 1] - a_row_ptr_[i];
     if (a_row.size() != expected) {
       // Pattern changed; clean the accumulator before bailing out.

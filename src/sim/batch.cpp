@@ -6,7 +6,7 @@
 // active lane exactly one Newton iteration, packing the lanes' linear
 // systems into one BatchDenseLu factor/solve. The Newton update and the
 // gmin shunts are the shared apply_newton_update and stamp_gmin_shunts.
-// What this engine keeps for itself is the round: packing, FlatJacobian
+// What this engine keeps for itself is the round: packing, Jacobian
 // scatter, the batch LU, the relaxed device-major load plan, and eviction,
 // which stands in for every outcome the scalar engine would turn into a
 // recovery ladder, a budget truncation or a throw.
@@ -41,7 +41,7 @@ struct Lane {
   BatchLaneOutcome* out;
   detail::StepControl step;
 
-  FlatJacobian flat;
+  numeric::SparseMatrix jacobian;
   std::vector<double> residual;
   std::vector<double> dx;
 
@@ -85,8 +85,8 @@ class BatchEngine {
     while (true) {
       round.clear();
       // Zero every lane column at once (cheaper than per-lane strided
-      // clears); prepare_iteration stages each load in the lane's flat
-      // values buffer (L1-resident) and join_round copies the live patterns
+      // clears); prepare_iteration stages each load in the lane's own
+      // Jacobian (L1-resident) and join_round copies the live patterns
       // on top. (Stamping straight into the strided SoA cells was tried
       // and measured slower: it turns every accumulate into a scattered
       // read-modify-write in the middle of the device-model code.)
@@ -168,7 +168,7 @@ class BatchEngine {
       out.table = SignalTable(detail::signal_names(lane.step.circuit));
 
       lane.step.start(dc_operating_point(lane.step.circuit, options_).x);
-      lane.flat.reset(n_);
+      lane.jacobian.reset(n_);
       lane.residual.assign(n_, 0.0);
       lane.dx.assign(n_, 0.0);
       begin_step(lane);
@@ -209,9 +209,9 @@ class BatchEngine {
     ++lane.solve_iterations;
     ++lane.step.out.newton_iterations;
 
-    lane.flat.begin_load();
+    lane.jacobian.begin_load();
     std::fill(lane.residual.begin(), lane.residual.end(), 0.0);
-    lane.stamper = std::make_unique<Stamper>(lane.flat, lane.residual);
+    lane.stamper = std::make_unique<Stamper>(lane.jacobian, lane.residual);
     return true;
   }
 
@@ -222,7 +222,7 @@ class BatchEngine {
     stamp_gmin_shunts(*lane.stamper, lane.step.x_new, scales_.voltage_unknowns,
                       options_.gmin);
     lane.stamper.reset();
-    if (!lane.flat.end_load()) {
+    if (!lane.jacobian.end_load()) {
       evict(lane, "stamp pattern changed mid-run");
       return false;
     }
@@ -334,18 +334,16 @@ class BatchEngine {
   }
 
   /// Give the lane the round's next batch slot and copy its staged load
-  /// (flat values buffer) into that SoA column and RHS.
+  /// (the lane Jacobian's rows) into that SoA column and RHS.
   void join_round(Lane& lane, std::vector<Lane*>& round) {
     lane.slot = round.size();
     round.push_back(&lane);
     const std::size_t L = lanes_.size();
     double* lu = lu_.values();
-    const auto& slots = lane.flat.slots();
-    const auto& values = lane.flat.values();
-    for (std::size_t e = 0; e < slots.size(); ++e) {
-      const auto r = static_cast<std::size_t>(slots[e].row);
-      const auto c = static_cast<std::size_t>(slots[e].col);
-      lu[(r * n_ + c) * L + lane.slot] = values[e];
+    for (std::size_t r = 0; r < n_; ++r) {
+      for (const auto& [c, v] : lane.jacobian.row(r)) {
+        lu[(r * n_ + c) * L + lane.slot] = v;
+      }
     }
     for (std::size_t i = 0; i < n_; ++i) {
       b_[i * L + lane.slot] = -lane.residual[i];

@@ -5,9 +5,9 @@
 // parameter values — by advancing all lanes one Newton iteration per round
 // and funnelling the K linear systems through one structure-of-arrays
 // factor/solve (numeric::BatchDenseLu). Device evaluation stays per-lane
-// (each lane owns its Circuit), but stamps land in a FlatJacobian replay
-// tape instead of the map-backed SparseMatrix, and the numeric core — the
-// dominant scalar cost — runs lane-contiguous.
+// (each lane owns its Circuit) and stamps into a per-lane SparseMatrix
+// whose replayed stamp tape makes each load plain array adds; the numeric
+// core — the dominant scalar cost — runs lane-contiguous.
 //
 // Shared with run_transient: each lane's step control is a
 // detail::StepControl (dt policy, predictor, event cuts, LTE, accept, dt

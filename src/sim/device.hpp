@@ -76,8 +76,9 @@ class Device {
   /// i's solution, stamper, and context. Implementations gather per-lane
   /// operating points into SoA blocks, run the vecmath kernels across all
   /// lanes, and scatter stamps back per lane — in exactly the same
-  /// add_residual/add_jacobian order as load() so the FlatJacobian tape
-  /// replays. The default is the scalar loop (bitwise-identical fallback).
+  /// add_residual/add_jacobian order as load() so the Jacobian's stamp
+  /// tape replays. The default is the scalar loop (bitwise-identical
+  /// fallback).
   virtual void load_lanes(Device* const* peers, const LaneLoadView* views,
                           std::size_t m) {
     for (std::size_t i = 0; i < m; ++i) {

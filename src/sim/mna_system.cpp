@@ -61,7 +61,7 @@ std::string MnaSystem::blame_device(const std::vector<double>& x,
   std::string best;
   double best_magnitude = 0.0;
   for (const auto& device : circuit_.devices()) {
-    jacobian.resize(n);
+    jacobian.reset(n);
     std::fill(residual.begin(), residual.end(), 0.0);
     Stamper stamper(jacobian, residual);
     device->load(x, stamper, context_);
@@ -70,9 +70,8 @@ std::string MnaSystem::blame_device(const std::vector<double>& x,
       if (!std::isfinite(r)) return device->name();
     }
     for (std::size_t row = 0; row < n; ++row) {
-      for (const auto& [col, value] : jacobian.row(row)) {
-        (void)col;
-        if (!std::isfinite(value)) return device->name();
+      for (const auto& e : jacobian.row(row)) {
+        if (!std::isfinite(e.value)) return device->name();
       }
     }
     if (unknown < n && std::fabs(residual[unknown]) > best_magnitude) {

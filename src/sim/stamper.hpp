@@ -6,24 +6,12 @@
 // "sum of currents *leaving* each node = 0"; devices add their leaving
 // current to the residual and dI/dV terms to the Jacobian.
 //
-// Two Jacobian backends share one Stamper front end:
-//  - the classic map-backed SparseMatrix (general path);
-//  - a FlatJacobian slot array for the batched lockstep engine, which
-//    records the (row, col) sequence of the first load and replays it as
-//    straight array accumulation afterwards. Device stamp sequences are
-//    value-independent for a fixed analysis mode, so the replay tape is
-//    stable; a mismatch (a device changing its stamp pattern mid-run) is
-//    flagged so the caller can fall back to the scalar path.
-//
-// Bitwise contract: for a given load, both backends accumulate each (row,
-// col) entry in identical stamp-call order, so the per-entry sums — and any
-// dense scatter of them — are bitwise identical.
+// The Jacobian lands in a numeric::SparseMatrix, whose stamp tape makes a
+// repeated load one array add per stamp (see sparse_matrix.hpp). The scalar
+// Newton loop and the batched lockstep engine stamp into the same store.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "numeric/sparse_matrix.hpp"
@@ -33,119 +21,14 @@ namespace softfet::sim {
 /// Sentinel unknown index for the ground node.
 inline constexpr int kGround = -1;
 
-/// Flat Jacobian value store with a record/replay stamp tape. One unique
-/// (row, col) pattern entry owns one value slot; repeated stamps of the
-/// same entry accumulate in call order exactly like the map backend.
-class FlatJacobian {
- public:
-  struct Slot {
-    std::int32_t row = 0;
-    std::int32_t col = 0;
-  };
-
-  /// Start over for an n-unknown system: drops the tape and pattern.
-  void reset(std::size_t n) {
-    n_ = n;
-    building_ = true;
-    mismatch_ = false;
-    cursor_ = 0;
-    tape_.clear();
-    slots_.clear();
-    values_.clear();
-    index_.clear();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-
-  /// Begin one load. Restarts the recording from scratch so a
-  /// failed first load (non-finite residual -> step retry) cannot leave a
-  /// half-recorded tape that the retry would double-append to.
-  void begin_load() {
-    cursor_ = 0;
-    mismatch_ = false;
-    if (building_) {
-      tape_.clear();
-      slots_.clear();
-      values_.clear();
-      index_.clear();
-    } else {
-      std::fill(values_.begin(), values_.end(), 0.0);
-    }
-  }
-
-  /// Accumulate `value` at (row, col). The first load records the tape;
-  /// subsequent loads replay it (two array reads and one add).
-  void add(int row, int col, double value) {
-    if (!building_) {
-      if (cursor_ >= tape_.size()) {
-        mismatch_ = true;
-        return;
-      }
-      const Tape& t = tape_[cursor_];
-      if (t.row != row || t.col != col) {
-        mismatch_ = true;
-        return;
-      }
-      values_[t.slot] += value;
-      ++cursor_;
-      return;
-    }
-    const auto [it, inserted] =
-        index_.try_emplace({row, col}, static_cast<std::uint32_t>(slots_.size()));
-    if (inserted) {
-      slots_.push_back(
-          {static_cast<std::int32_t>(row), static_cast<std::int32_t>(col)});
-      values_.push_back(0.0);
-    }
-    tape_.push_back({static_cast<std::int32_t>(row),
-                     static_cast<std::int32_t>(col), it->second});
-    values_[it->second] += value;
-  }
-
-  /// Finish one load. Returns false when the stamp sequence diverged from
-  /// the recorded tape (caller must abandon the flat path for this system).
-  [[nodiscard]] bool end_load() {
-    if (building_) {
-      building_ = false;
-      index_.clear();
-      return true;
-    }
-    return !mismatch_ && cursor_ == tape_.size();
-  }
-
-  /// Pattern entries (one per unique (row, col)) and their current values.
-  [[nodiscard]] const std::vector<Slot>& slots() const noexcept {
-    return slots_;
-  }
-  [[nodiscard]] const std::vector<double>& values() const noexcept {
-    return values_;
-  }
-
- private:
-  struct Tape {
-    std::int32_t row = 0;
-    std::int32_t col = 0;
-    std::uint32_t slot = 0;
-  };
-
-  std::size_t n_ = 0;
-  bool building_ = true;
-  bool mismatch_ = false;
-  std::size_t cursor_ = 0;
-  std::vector<Tape> tape_;
-  std::vector<Slot> slots_;
-  std::vector<double> values_;
-  std::map<std::pair<int, int>, std::uint32_t> index_;  // build phase only
-};
+/// Kept because perfbench/mc_inverter.cpp names it, and perfbench/ is the
+/// benchmark's frozen source.
+using FlatJacobian = numeric::SparseMatrix;
 
 class Stamper {
  public:
   Stamper(numeric::SparseMatrix& jacobian, std::vector<double>& residual)
-      : jacobian_(&jacobian), residual_(residual) {}
-
-  /// Flat-backend stamper for the batched engine.
-  Stamper(FlatJacobian& flat, std::vector<double>& residual)
-      : flat_(&flat), residual_(residual) {}
+      : jacobian_(jacobian), residual_(residual) {}
 
   Stamper(const Stamper&) = delete;
   Stamper& operator=(const Stamper&) = delete;
@@ -159,12 +42,8 @@ class Stamper {
   /// Add dF(row)/dx(col) to the Jacobian (ignored if either is ground).
   void add_jacobian(int row, int col, double value) {
     if (row == kGround || col == kGround) return;
-    if (jacobian_ != nullptr) {
-      jacobian_->add(static_cast<std::size_t>(row),
-                     static_cast<std::size_t>(col), value);
-    } else {
-      flat_->add(row, col, value);
-    }
+    jacobian_.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col),
+                  value);
   }
 
   /// Stamp a linear conductance `g` between unknowns `a` and `b` carrying
@@ -180,8 +59,7 @@ class Stamper {
   }
 
  private:
-  numeric::SparseMatrix* jacobian_ = nullptr;
-  FlatJacobian* flat_ = nullptr;
+  numeric::SparseMatrix& jacobian_;
   std::vector<double>& residual_;
 };
 

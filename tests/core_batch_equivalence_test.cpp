@@ -7,6 +7,8 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cells/inverter.hpp"
@@ -16,6 +18,7 @@
 #include "fault_injection.hpp"
 #include "sim/analyses.hpp"
 #include "sim/batch.hpp"
+#include "sim/device.hpp"
 
 namespace sc = softfet::core;
 namespace sd = softfet::devices;
@@ -64,6 +67,45 @@ void expect_tran_bitwise(const ss::TranResult& a, const ss::TranResult& b) {
   EXPECT_FALSE(a.truncated);
   EXPECT_FALSE(b.truncated);
 }
+
+/// A one-sided VCCS drawing g * v(ctrl) out of `from` once the time reaches
+/// t_on. From then on it stamps a Jacobian entry, (from, ctrl), that no
+/// earlier load had: a mid-run stamp-pattern change. The eager variant
+/// stamps the same entry as +0.0 before t_on, so only values change.
+class LateStampDevice final : public ss::Device {
+ public:
+  LateStampDevice(std::string name, ss::NodeId from, ss::NodeId ctrl,
+                  double t_on, bool eager)
+      : Device(std::move(name)),
+        from_node_(from),
+        ctrl_node_(ctrl),
+        t_on_(t_on),
+        eager_(eager) {}
+
+  void setup(ss::Circuit& circuit) override {
+    from_ = circuit.node_unknown(from_node_);
+    ctrl_ = circuit.node_unknown(ctrl_node_);
+  }
+
+  void load(const std::vector<double>& x, ss::Stamper& stamper,
+            const ss::LoadContext& ctx) override {
+    if (ctx.time >= t_on_) {
+      stamper.add_residual(from_, kG * x[static_cast<std::size_t>(ctrl_)]);
+      stamper.add_jacobian(from_, ctrl_, kG);
+    } else if (eager_) {
+      stamper.add_jacobian(from_, ctrl_, 0.0);
+    }
+  }
+
+ private:
+  static constexpr double kG = 1e-6;
+  ss::NodeId from_node_;
+  ss::NodeId ctrl_node_;
+  double t_on_;
+  bool eager_;
+  int from_ = ss::kGround;
+  int ctrl_ = ss::kGround;
+};
 
 void expect_stats_bitwise(const sc::MonteCarloStats& a,
                           const sc::MonteCarloStats& b) {
@@ -203,6 +245,59 @@ TEST(BatchEquivalence, NanJacobianLaneEvictsOthersUnchanged) {
     SCOPED_TRACE("lane " + std::to_string(k));
     ASSERT_FALSE(outcomes[k].evicted) << outcomes[k].eviction_reason;
     expect_tran_bitwise(outcomes[k].tran, scalar[scalar_idx++]);
+  }
+}
+
+// A lane whose device starts stamping a new Jacobian entry mid-run leaves
+// the batch with the pattern-change reason, and only that lane does. The
+// scalar engine grows its pattern instead: run on its own, that sample
+// equals the eager variant (entry present from the start as +0.0) bit for
+// bit, so the sums after the growth are exact.
+TEST(BatchEquivalence, StampPatternChangeEvictsOnlyThatLane) {
+  const double v_imts[] = {0.33, 0.38, 0.44, 0.48};
+  constexpr std::size_t kLateLane = 2;
+  constexpr double kTOn = 50e-12;
+
+  auto make_bench = [&](std::size_t k, bool late, bool eager) {
+    auto spec = soft_base();
+    spec.dut.ptm->v_imt = v_imts[k];
+    auto bench = softfet::cells::make_inverter_testbench(spec);
+    if (late) {
+      bench.circuit.add<LateStampDevice>(
+          "GLATE", bench.circuit.find_node("load_out"),
+          bench.circuit.find_node("in"), kTOn, eager);
+    }
+    return bench;
+  };
+
+  std::vector<ss::TranResult> scalar;
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    auto bench = make_bench(k, k == kLateLane, false);
+    scalar.push_back(ss::run_transient(bench.circuit, bench.suggested_tstop));
+  }
+  auto eager = make_bench(kLateLane, true, true);
+  expect_tran_bitwise(scalar[kLateLane],
+                      ss::run_transient(eager.circuit, eager.suggested_tstop));
+
+  std::vector<softfet::cells::InverterTestbench> benches;
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    benches.push_back(make_bench(k, k == kLateLane, false));
+  }
+  std::vector<ss::BatchLaneSpec> lanes;
+  for (auto& bench : benches) {
+    lanes.push_back({&bench.circuit, bench.suggested_tstop});
+  }
+  const auto outcomes = ss::run_transient_batch(lanes, {});
+  ASSERT_EQ(outcomes.size(), std::size(v_imts));
+
+  EXPECT_TRUE(outcomes[kLateLane].evicted);
+  EXPECT_EQ(outcomes[kLateLane].eviction_reason,
+            "stamp pattern changed mid-run");
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    if (k == kLateLane) continue;
+    SCOPED_TRACE("lane " + std::to_string(k));
+    ASSERT_FALSE(outcomes[k].evicted) << outcomes[k].eviction_reason;
+    expect_tran_bitwise(outcomes[k].tran, scalar[k]);
   }
 }
 

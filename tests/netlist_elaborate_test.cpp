@@ -166,12 +166,36 @@ TEST(Elaborate, SemanticErrors) {
 
 // A subckt that instantiates itself, directly or through another, must be
 // a parse error naming the cycle at the closing instance's line, not
-// unbounded recursion.
+// unbounded recursion. So must a non-recursive nest too deep for the stack
+// or too big for memory, at the top-level instance's line.
 TEST(Elaborate, RecursiveSubcktsAreParseErrors) {
+  // A chain of `depth` distinct subckts, each instantiating the next; the
+  // top-level instance X0 sits on line 2 + 3 * depth.
+  const auto chain = [](int depth) {
+    std::string text = "deep chain\n";
+    for (int k = 0; k < depth; ++k) {
+      text += ".subckt s" + std::to_string(k) + " a\n";
+      text += k + 1 < depth ? "X1 a s" + std::to_string(k + 1) + "\n"
+                            : std::string("R1 a 0 1k\n");
+      text += ".ends\n";
+    }
+    return text + "X0 in s0\nV1 in 0 1\n";
+  };
+  // `levels` subckts, each instantiating the one below twice: 2^levels
+  // resistors. X0 sits on line 5 + 4 * levels.
+  const auto doubling = [](int levels) {
+    std::string text = "doubling\n.subckt d0 a\nR1 a 0 1k\n.ends\n";
+    for (int k = 1; k <= levels; ++k) {
+      const std::string below = "d" + std::to_string(k - 1);
+      text += ".subckt d" + std::to_string(k) + " a\nX1 a " + below +
+              "\nX2 a " + below + "\n.ends\n";
+    }
+    return text + "X0 in d" + std::to_string(levels) + "\nV1 in 0 1\n";
+  };
   struct Case {
-    const char* netlist;
+    std::string netlist;
     int line;
-    const char* cycle;
+    const char* error;
   };
   const Case cases[] = {
       {R"(self
@@ -195,15 +219,18 @@ X0 in ping
 V1 in 0 1
 )",
        7, "recursive subcircuit: ping -> pong -> ping"},
+      // Hostile sizes fail at the top-level instance, before expanding it.
+      {chain(10000), 30002, "subcircuit nesting deeper than 100 levels"},
+      {doubling(40), 165, "subcircuits expand to more than 1000000 devices"},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.cycle);
+    SCOPED_TRACE(c.error);
     try {
       (void)nl::compile_netlist(c.netlist);
-      ADD_FAILURE() << "recursive subckt elaborated";
+      ADD_FAILURE() << "hostile subckt elaborated";
     } catch (const softfet::ParseError& e) {
       EXPECT_EQ(e.line(), c.line);
-      EXPECT_NE(std::string(e.what()).find(c.cycle), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
           << e.what();
     }
   }

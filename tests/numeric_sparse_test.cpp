@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "numeric/dense_lu.hpp"
 #include "numeric/linear_solver.hpp"
@@ -38,6 +41,100 @@ TEST(SparseMatrix, ToDenseMatchesMultiply) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(y_sparse[i], y_dense[i]);
   }
+}
+
+namespace {
+
+struct Stamp {
+  std::size_t r;
+  std::size_t c;
+  double v;
+};
+
+/// One bracketed load of `stamps`; returns end_load().
+bool load(sn::SparseMatrix& a, const std::vector<Stamp>& stamps) {
+  a.begin_load();
+  for (const Stamp& s : stamps) a.add(s.r, s.c, s.v);
+  return a.end_load();
+}
+
+/// Same pattern, same values to the bit (so +0.0 differs from -0.0).
+void expect_bitwise_equal(const sn::SparseMatrix& a, const sn::SparseMatrix& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    const auto ra = a.row(r);
+    const auto rb = b.row(r);
+    ASSERT_EQ(ra.size(), rb.size()) << "row " << r;
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+      EXPECT_EQ(ra[k].col, rb[k].col) << "row " << r;
+      EXPECT_EQ(std::memcmp(&ra[k].value, &rb[k].value, sizeof(double)), 0)
+          << "row " << r << " col " << ra[k].col;
+    }
+  }
+}
+
+// Out of column order, repeated entries, and a lone -0.0 at (1, 2).
+const std::vector<Stamp> kTape = {{2, 2, 1.5}, {0, 1, -2.0}, {1, 2, -0.0},
+                                  {0, 0, 0.1}, {2, 0, 3.0},  {0, 0, 0.2},
+                                  {0, 1, 0.25}};
+
+}  // namespace
+
+TEST(SparseMatrix, ReplayedLoadMatchesRecordedBitwise) {
+  std::vector<Stamp> second = kTape;
+  for (Stamp& s : second) s.v = s.v == 0.0 ? s.v : s.v * 1.7;
+
+  sn::SparseMatrix replayed(3);
+  ASSERT_TRUE(load(replayed, kTape));  // records
+  ASSERT_TRUE(load(replayed, second));  // replays
+  sn::SparseMatrix recorded(3);
+  ASSERT_TRUE(load(recorded, second));
+  expect_bitwise_equal(replayed, recorded);
+
+  // Every entry starts at +0.0 and a stamp adds, so -0.0 alone reads +0.0.
+  EXPECT_FALSE(std::signbit(replayed.get(1, 2)));
+  EXPECT_EQ(replayed.get(0, 0), 0.1 * 1.7 + 0.2 * 1.7);
+  EXPECT_EQ(replayed.row(0).size(), 2u);
+  EXPECT_LT(replayed.row(0)[0].col, replayed.row(0)[1].col);
+}
+
+TEST(SparseMatrix, DepartingLoadGrowsPatternAndFlagsOnce) {
+  std::vector<Stamp> grown = kTape;
+  grown.insert(grown.begin() + 3, Stamp{1, 0, 4.0});  // new entry mid-tape
+  std::vector<Stamp> shorter = kTape;
+  shorter.pop_back();
+
+  sn::SparseMatrix a(3);
+  ASSERT_TRUE(load(a, kTape));
+  EXPECT_FALSE(load(a, grown));
+  EXPECT_EQ(a.get(1, 0), 4.0);
+  EXPECT_EQ(a.nonzeros(), 6u);
+  sn::SparseMatrix fresh(3);
+  ASSERT_TRUE(load(fresh, grown));
+  expect_bitwise_equal(a, fresh);
+  EXPECT_TRUE(load(a, grown));  // the departing load became the tape
+  expect_bitwise_equal(a, fresh);
+
+  // Stopping short of the tape is a departure too.
+  EXPECT_FALSE(load(a, shorter));
+  EXPECT_TRUE(load(a, shorter));
+}
+
+TEST(SparseMatrix, AbandonedLoadLeavesNoPartialTape) {
+  sn::SparseMatrix a(3);
+  // A first load that stops midway (a throw, a non-finite retry) must not
+  // leave half a tape for the full load to "depart" from.
+  a.begin_load();
+  a.add(2, 2, 1.0);
+  a.add(0, 1, 1.0);
+  EXPECT_TRUE(load(a, kTape));
+  // Same for a replay abandoned midway.
+  a.begin_load();
+  a.add(2, 2, 1.0);
+  EXPECT_TRUE(load(a, kTape));
+  sn::SparseMatrix fresh(3);
+  ASSERT_TRUE(load(fresh, kTape));
+  expect_bitwise_equal(a, fresh);
 }
 
 TEST(SparseLu, MatchesDenseOnRandomSystems) {
