@@ -143,8 +143,10 @@ std::vector<DesignSpacePoint> sweep_vimt_vmit(
     }
   };
 
-  // Same lane-knob policy as MonteCarloSpec::lanes (0 = auto). Budgeted
-  // runs stay scalar: the batch cannot replicate per-lane truncation.
+  // Lane knob as MonteCarloSpec::lanes (0 = auto), but auto is 8 lanes in
+  // both determinism modes: unlike ptm_monte_carlo it does not widen to 16
+  // under kRelaxedUlp. Budgeted runs stay scalar: the batch cannot
+  // replicate per-lane truncation.
   constexpr int kAutoLanes = 8;
   const int lane_knob = lanes == 0 ? kAutoLanes : std::max(lanes, 1);
   const bool use_batch =

@@ -71,6 +71,7 @@ struct MeasureCard {
 struct NetlistAst {
   std::string title;
   std::vector<std::pair<std::string, std::string>> params;  // ordered
+  std::vector<int> param_lines;  // source line of each params entry
   std::vector<DeviceCard> top_devices;
   std::map<std::string, ModelCard> models;    // lower-case names
   std::map<std::string, SubcktDef> subckts;   // lower-case names

@@ -117,8 +117,10 @@ class Elaborator {
     circuit_ = out.circuit.get();
 
     ParamScope globals;
-    for (const auto& [name, value] : ast_.params) {
-      globals.set(name, eval_value(value, globals, 0));
+    for (std::size_t i = 0; i < ast_.params.size(); ++i) {
+      const auto& [name, value] = ast_.params[i];
+      const int line = i < ast_.param_lines.size() ? ast_.param_lines[i] : 0;
+      globals.set(name, eval_value(value, globals, line));
     }
     for (const auto& card : ast_.top_devices) {
       instantiate(card, "", {}, globals);

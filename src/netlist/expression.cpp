@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -28,6 +29,12 @@ double ParamScope::get(const std::string& name) const {
 }
 
 namespace {
+
+/// Deepest nesting of parentheses, `^` exponents and function calls one
+/// expression may use. Far above any real netlist; it bounds the parser's
+/// recursion, so a hostile expression is a parse error, not a stack
+/// overflow.
+constexpr int kMaxNesting = 256;
 
 class Parser {
  public:
@@ -91,16 +98,30 @@ class Parser {
     }
   }
 
+  // Every recursive path (parentheses, `^`, function arguments) passes
+  // through factor(), so the nesting limit is enforced here.
   double factor() {
+    if (++depth_ > kMaxNesting) {
+      throw Error("expression nested deeper than " +
+                  std::to_string(kMaxNesting) + " levels");
+    }
     const double base = unary();
-    if (consume('^')) return std::pow(base, factor());
-    return base;
+    const double v = consume('^') ? std::pow(base, factor()) : base;
+    --depth_;
+    return v;
   }
 
   double unary() {
-    if (consume('-')) return -unary();
-    if (consume('+')) return unary();
-    return primary();
+    bool negate = false;
+    while (true) {
+      if (consume('-')) {
+        negate = !negate;
+      } else if (!consume('+')) {
+        break;
+      }
+    }
+    const double v = primary();
+    return negate ? -v : v;
   }
 
   double primary() {
@@ -218,6 +239,7 @@ class Parser {
   std::string_view text_;
   const ParamScope& scope_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -202,6 +202,7 @@ class AstBuilder {
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         auto [name, value] = split_assignment(tokens[i], line.number);
         ast.params.emplace_back(name, value);
+        ast.param_lines.push_back(line.number);
       }
       return;
     }
@@ -357,6 +358,8 @@ class AstBuilder {
     // Merge: included files contribute definitions and devices, not
     // analyses/titles.
     for (auto& param : inner.params) ast.params.push_back(std::move(param));
+    ast.param_lines.insert(ast.param_lines.end(), inner.param_lines.begin(),
+                           inner.param_lines.end());
     for (auto& device : inner.top_devices) {
       ast.top_devices.push_back(std::move(device));
     }

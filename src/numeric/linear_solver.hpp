@@ -109,15 +109,6 @@ class LinearSolver {
   [[nodiscard]] std::vector<double> solve(const SparseMatrix& a,
                                           const std::vector<double>& b);
 
-  [[nodiscard]] SolverKind kind() const noexcept { return config_.kind; }
-  [[nodiscard]] const LinearSolverConfig& config() const noexcept {
-    return config_;
-  }
-
-  /// Cached sparse factorization (analyze/refactor counters for tests and
-  /// benchmarks). Only meaningful after a sparse-path solve.
-  [[nodiscard]] const SparseLu& sparse() const noexcept { return sparse_; }
-
   /// Lifetime counters for diagnostics and perf reporting.
   [[nodiscard]] LinearSolverStats stats() const noexcept;
 

@@ -114,9 +114,9 @@ struct NewtonResult {
 /// Index of the first non-finite entry of `v`, or kNoUnknown.
 [[nodiscard]] std::size_t first_non_finite(const std::vector<double>& v);
 
-/// One Newton update, shared by solve_newton and the batched transient
-/// engine: per unknown, clamp dx[i] to ±scales.max_step(i) (0 = unlimited),
-/// apply x[i] += dx[i], then test |dx[i]| against
+/// One Newton update, shared by solve_newton and the transient lane
+/// (sim/step_control.hpp): per unknown, clamp dx[i] to ±scales.max_step(i)
+/// (0 = unlimited), apply x[i] += dx[i], then test |dx[i]| against
 /// reltol·max(|x_new|, |x_old|) + scales.abstol(i). True when all pass.
 template <class Scales>
 [[nodiscard]] bool apply_newton_update(std::vector<double>& x,

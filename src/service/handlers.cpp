@@ -7,6 +7,8 @@
 // streaming and robustness, never different math.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,24 @@
 namespace softfet::service {
 
 namespace {
+
+/// Widest lane block a monte_carlo job may ask for: every sample of a block
+/// holds its testbench and waveform at once.
+constexpr double kMaxMonteCarloLanes = 64.0;
+
+/// Integer field `key` of a monte_carlo payload (`fallback` when absent),
+/// truncated toward zero. A value that is not finite or lies outside
+/// [lo, hi] is a structured error, raised before any cast to an integer.
+[[nodiscard]] double mc_integer(const Request& request, const char* key,
+                                double fallback, double lo, double hi) {
+  const double v = std::trunc(request.payload.number_or(key, fallback));
+  if (!(v >= lo && v <= hi)) {
+    throw Error(std::string("monte_carlo \"") + key + "\" must be in [" +
+                std::to_string(static_cast<long long>(lo)) + ", " +
+                std::to_string(static_cast<long long>(hi)) + "]");
+  }
+  return v;
+}
 
 /// Column selection mirroring netlist_runner's --signals filter.
 [[nodiscard]] std::vector<std::string> wanted_signals(const Request& request) {
@@ -220,12 +240,8 @@ JobHandler monte_carlo_job_handler() {
   return [](const Request& request, JobContext& ctx) {
     const int max_samples =
         ctx.config != nullptr ? ctx.config->max_samples : 100000;
-    const int samples =
-        static_cast<int>(request.payload.number_or("samples", 32.0));
-    if (samples < 2 || samples > max_samples) {
-      throw Error("monte_carlo \"samples\" must be in [2, " +
-                  std::to_string(max_samples) + "]");
-    }
+    const int samples = static_cast<int>(
+        mc_integer(request, "samples", 32.0, 2.0, max_samples));
 
     cells::InverterTestbenchSpec base;
     base.vcc = request.payload.number_or("vcc", base.vcc);
@@ -237,20 +253,22 @@ JobHandler monte_carlo_job_handler() {
 
     core::MonteCarloSpec mc;
     mc.samples = samples;
-    mc.seed = static_cast<unsigned>(request.payload.number_or("seed", 1.0));
+    mc.seed = static_cast<unsigned>(mc_integer(
+        request, "seed", 1.0, 0.0, std::numeric_limits<unsigned>::max()));
     mc.sigma_threshold =
         request.payload.number_or("sigma_threshold", mc.sigma_threshold);
     mc.sigma_resistance =
         request.payload.number_or("sigma_resistance", mc.sigma_resistance);
     mc.sigma_tptm = request.payload.number_or("sigma_tptm", mc.sigma_tptm);
-    mc.lanes = static_cast<int>(request.payload.number_or("lanes", 0.0));
+    mc.lanes = static_cast<int>(
+        mc_integer(request, "lanes", 0.0, 0.0, kMaxMonteCarloLanes));
     apply_determinism(request, ctx.options);
     // Parallelism lives at the job level (the server's worker pool);
     // nested parallel_for would run serially anyway, so be explicit.
     mc.threads = 1;
     mc.checkpoint.path = ctx.checkpoint_path;
     mc.checkpoint.flush_every = static_cast<int>(
-        request.payload.number_or("checkpoint_every", 4.0));
+        mc_integer(request, "checkpoint_every", 4.0, 1.0, max_samples));
 
     std::atomic<int> drawn{0};
     const int stride = std::max(1, samples / 8);

@@ -9,22 +9,22 @@
 // whose replayed stamp tape makes each load plain array adds; the numeric
 // core — the dominant scalar cost — runs lane-contiguous.
 //
-// Shared with run_transient: each lane's step control is a
-// detail::StepControl (dt policy, predictor, event cuts, LTE, accept, dt
-// shrink — see step_control.hpp), and each iteration ends in the same
-// numeric::apply_newton_update. This engine keeps the round itself: lane
-// packing, tape scatter, the batch LU, the relaxed device-major load plan,
-// and eviction.
+// Each lane is a detail::TransientLane, the one transient engine that
+// run_transient drives at K=1 (step control, Newton iteration and recovery
+// ladder — see step_control.hpp). This engine adds only the round: lane
+// packing, Jacobian scatter, the batch LU, the relaxed device-major load
+// plan, and eviction.
 //
 // Determinism contract: a lane that runs to completion executes exactly the
 // floating-point operation sequence of scalar run_transient on the same
-// circuit, so its TranResult is bitwise identical to the scalar engine's.
-// Every outcome the scalar engine handles with machinery the batch does
-// not replicate — the recovery ladder, budget truncation, a failure at the
-// minimum timestep, a stamp-pattern change — instead *evicts* the lane: its
-// partial result is discarded and the caller reruns that sample on the
-// scalar path, which reproduces the scalar behaviour by construction. One
-// bad sample therefore never serializes or perturbs the other K-1 lanes.
+// circuit, recovery ladder included, so its TranResult is bitwise identical
+// to the scalar engine's. A lane whose run the batch cannot finish —
+// a setup reject, a device-load throw, a stamp-pattern change, a budget
+// stop, the step limit, or a failure at the minimum timestep — is instead
+// *evicted*: its partial result is discarded and the caller reruns that
+// sample on the scalar path, which reproduces the scalar behaviour by
+// construction. One bad sample therefore never serializes or perturbs the
+// other K-1 lanes.
 //
 // Divergence handling: lanes converge/accept/reject on their own schedules;
 // each round simply packs the still-active lanes into slots [0, m) of the

@@ -4,17 +4,12 @@
 #include <vector>
 
 #include "numeric/linear_solver.hpp"
-#include "numeric/newton.hpp"
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "sim/options.hpp"
 #include "util/error.hpp"
 
 namespace softfet::sim::detail {
-
-/// Newton options from the simulator tolerances (no solver instance or
-/// budget attached).
-[[nodiscard]] numeric::NewtonOptions newton_options(const SimOptions& options);
 
 /// Robust DC solve (direct Newton -> gmin stepping -> source stepping).
 /// `x` is the warm start in and the solution out; returns Newton iterations.

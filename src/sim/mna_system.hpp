@@ -54,7 +54,6 @@ class MnaSystem final : public numeric::NonlinearSystem {
 
   /// Shunt conductance to ground on every node (homotopy knob).
   void set_gmin(double gmin) noexcept { gmin_ = gmin; }
-  [[nodiscard]] double gmin() const noexcept { return gmin_; }
 
  private:
   Circuit& circuit_;

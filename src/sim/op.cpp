@@ -11,14 +11,6 @@ namespace softfet::sim {
 
 namespace detail {
 
-numeric::NewtonOptions newton_options(const SimOptions& options) {
-  numeric::NewtonOptions nopt;
-  nopt.max_iterations = options.newton_max_iter;
-  nopt.reltol = options.reltol;
-  nopt.solver = options.solver;
-  return nopt;
-}
-
 void fill_solver_stats(SolverDiagnostics& diag,
                        const numeric::LinearSolver& solver) {
   const numeric::LinearSolverStats stats = solver.stats();
@@ -37,7 +29,9 @@ int solve_dc(Circuit& circuit, const SimOptions& options, LoadContext& ctx,
              std::vector<double>& x, numeric::LinearSolver* solver,
              SolverDiagnostics* diag, const util::BudgetTimer* budget) {
   MnaSystem system(circuit, options, ctx);
-  numeric::NewtonOptions nopt = newton_options(options);
+  numeric::NewtonOptions nopt;
+  nopt.max_iterations = options.newton_max_iter;
+  nopt.reltol = options.reltol;
   numeric::LinearSolver local_solver(options.solver_config());
   nopt.solver_instance = solver != nullptr ? solver : &local_solver;
   nopt.budget = budget;

@@ -1,77 +1,122 @@
-// Per-step control of the adaptive transient, shared by run_transient and
-// the batched lockstep engine. StepControl decides which solve runs next and
-// what happens to its result; the calling engine decides how a solve runs
-// and how a run fails. The engine's loop:
+// One transient run as a lane: the adaptive step control plus the Newton
+// iteration of the solve in flight, advanced one iteration per call. This is
+// the only transient engine. run_transient drives one lane over a
+// LinearSolver; run_transient_batch drives K lanes through one BatchDenseLu
+// per round. Either engine runs, per iteration:
 //
-//   begin_step          kSolve: x_new holds the predictor, ctx is set;
-//   (solve x_new)       full Newton, or one iteration per batch round;
-//   on_solve_converged  event cut, LTE reject or accept; then begin_step;
-//   on_solve_failure    kLadder: the engine escalates and, if that fails,
-//                       calls resolve_failure; kTruncate / kAtMin: the
-//                       engine fails the run; kRetry: dt shrunk.
+//   begin_iteration   iteration head; false once the run has ended;
+//   (device loads)    load_devices(), or the batch's device-major pass;
+//   end_load          gmin shunts; false when the stamp pattern departed;
+//   residual_finite   false: the solve failed and the lane moved on;
+//   (solve)           J·dx = -F into dx;
+//   update            Newton update, then converge or fail; or
+//   solve_failed      the factorization failed.
 //
-// Both engines run exactly this code, so a batch lane that completes is
-// bitwise identical to the scalar run.
+// The lane decides everything after a solve: event cut, LTE reject or
+// accept on convergence; on failure a dt shrink with forced backward Euler,
+// or after `recovery_escalate_after` consecutive failures (and once more at
+// the minimum dt) the recovery ladder — predictor reset, transient gmin
+// ramp, per-step source ramp — whose rungs are backward-Euler solves this
+// lane iterates like any other. Every attempt is logged in the result. A
+// run ends done, truncated by the budget, out of steps, or failed at the
+// minimum dt; the engine maps that end state to its outcome. Both engines
+// run exactly this code, so a batch lane that finishes is bitwise identical
+// to the scalar run.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "numeric/newton.hpp"
+#include "numeric/sparse_matrix.hpp"
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "sim/options.hpp"
 #include "sim/result.hpp"
+#include "sim/stamper.hpp"
 #include "util/budget.hpp"
 
 namespace softfet::sim::detail {
 
-struct StepControl {
-  enum class Head { kSolve, kDone, kBudgetStop, kStepLimit };
-  enum class Failure { kRetry, kLadder, kTruncate, kAtMin };
+struct TransientLane {
+  enum class State { kSolving, kDone, kTruncated, kStepLimit, kFailedAtMin };
 
-  /// `out` receives the waveform, the step counters and the attempt log.
-  StepControl(Circuit& c, const SimOptions& o, double stop_time,
-              TranResult& result)
-      : circuit(c), options(o), tstop(stop_time), out(result) {}
+  /// `result` receives the waveform, the counters and the attempt log;
+  /// `budget` is checked at every step and iteration head.
+  TransientLane(Circuit& c, const SimOptions& o, double stop_time,
+                TranResult& result, const util::BudgetTimer& budget_timer)
+      : circuit(c),
+        options(o),
+        tstop(stop_time),
+        out(result),
+        budget(budget_timer),
+        gmin(o.gmin) {}
 
   /// Start at t = 0 from the operating point `x0` (circuit prepared):
-  /// samples the first row and sets the initial dt.
+  /// sample the first row, set the initial dt and open the first step.
   void start(std::vector<double> x0);
 
-  /// Loop head: done and budget tests, dt clamp to device caps and the
-  /// remaining span, breakpoint landing, ctx and predictor for the solve.
-  /// kBudgetStop leaves the tripped limit in `stop`.
-  [[nodiscard]] Head begin_step(const util::BudgetTimer& budget);
+  /// Iteration head: fail a solve out of iterations, apply the budget, and
+  /// open the load of the next iteration. False once the run has ended.
+  [[nodiscard]] bool begin_iteration();
+  /// Every device's load at the iterate, in circuit order.
+  void load_devices();
+  /// Stamp the gmin shunts and close the load. False when the load left
+  /// the recorded stamp pattern (the sums stay exact either way).
+  [[nodiscard]] bool end_load();
+  /// False when the residual is non-finite: that solve failed.
+  [[nodiscard]] bool residual_finite();
+  /// Apply the solved dx: converge, fail, or go on iterating.
+  void update();
+  /// The solve failed without a usable dx (by default: the factorization
+  /// failed). Blames `column` when known, else the worst scaled residual.
+  void solve_failed(std::size_t column = numeric::kNoUnknown,
+                    numeric::NewtonFailure failure =
+                        numeric::NewtonFailure::kSingularMatrix);
 
-  /// After a converged solve of x_new (`recovered` = by the engine's
-  /// recovery ladder): cut the step at an interior device event, reject it
-  /// on local error, or accept it and pick the next dt.
-  void on_solve_converged(int iterations, bool recovered);
-
-  /// After a failed solve: count it and decide whether the recovery ladder
-  /// runs now; otherwise resolve_failure.
-  [[nodiscard]] Failure on_solve_failure(const util::BudgetTimer& budget);
-
-  /// A failed step the ladder did not cure: truncate on a tripped budget
-  /// (limit in `stop`), give up at the minimum dt, or shrink dt and retry.
-  [[nodiscard]] Failure resolve_failure(const util::BudgetTimer& budget);
-
-  /// Record a recovery attempt at the current (t, dt); returns its index
-  /// for mark_succeeded (-1 when the bounded log is full).
-  int note_attempt(const char* strategy);
-  void mark_succeeded(int attempt);
+  [[nodiscard]] State state() const noexcept { return state_; }
+  /// Why an ended run did not finish, e.g. "step budget exhausted".
+  [[nodiscard]] std::string failure() const;
+  /// Diagnostics of an ended run that did not finish: failure(), the
+  /// attempt log, the step's main solve (iterations, trace, worst unknown)
+  /// and the device blamed at the last iterate (failed) or the accepted
+  /// state (stopped).
+  [[nodiscard]] SolverDiagnostics failure_diagnostics();
 
   Circuit& circuit;
   const SimOptions& options;
   const double tstop;
   TranResult& out;
+  const util::BudgetTimer& budget;
 
-  LoadContext ctx;  ///< load context of the solve in flight
+  LoadContext ctx;            ///< load context of the solve in flight
+  std::vector<double> x_new;  ///< iterate of the solve in flight
+  numeric::SparseMatrix jacobian;
+  std::vector<double> residual;
+  std::vector<double> dx;  ///< the engine solves into this
+  Stamper stamper{jacobian, residual};
+  util::BudgetStop stop = util::BudgetStop::kNone;  ///< why it truncated
+
+ private:
+  enum class Rung { kMain, kPredictorReset, kGminRamp, kSourceRamp };
+
+  void begin_step();
+  void fail(numeric::NewtonFailure failure, std::size_t unknown,
+            double worst_residual);
+  void converged();
+  void start_rung(Rung next);
+  void end_rung(bool ok);
+  void shrink_or_stop();
+  void accept_or_cut(int solve_iterations, bool recovered);
+  int note_attempt(const char* strategy);
+  void mark_succeeded(int attempt);
+
+  State state_ = State::kSolving;
   double t = 0.0;
   double dt = 0.0;
   double dtmax = 0.0;
   std::vector<double> x;       ///< last accepted solution (at t)
-  std::vector<double> x_new;   ///< iterate of the solve in flight
   std::vector<double> x_pred;  ///< predictor of the step in flight
   std::vector<double> x_prev;  ///< accepted solution before x (at t_prev)
   double t_prev = 0.0;
@@ -84,7 +129,13 @@ struct StepControl {
   /// dt_shrink attempts marked succeeded once a plain solve converges.
   std::vector<int> pending_shrinks;
   std::vector<double> row;  ///< sample-row buffer
-  util::BudgetStop stop = util::BudgetStop::kNone;
+
+  int iterations = 0;          ///< of the solve in flight
+  numeric::NewtonResult main;  ///< the step's main solve, kept for reports
+  double gmin;                 ///< shunt conductance of the solve in flight
+  Rung rung = Rung::kMain;
+  int rung_attempt = -1;  ///< attempt-log index of the rung in flight
+  int source_step = 0;    ///< source-ramp point of the rung in flight
 };
 
 }  // namespace softfet::sim::detail

@@ -199,6 +199,64 @@ TEST(BatchEquivalence, RunTransientBatchMatchesScalarBitwise) {
   }
 }
 
+// Lanes climb the recovery ladder inside the batch. With escalation on the
+// first failure, a NaN-residual budget of 1, 2 or 3 solves makes the
+// predictor reset, the gmin ramp or the source ramp the curing rung (the
+// arithmetic of fault_injection.hpp). No lane leaves the batch, and each
+// one equals its scalar run bit for bit, attempt log included.
+TEST(BatchEquivalence, LadderRecoveredLanesStayInBatch) {
+  const double v_imts[] = {0.33, 0.38, 0.44, 0.48};
+  const int fault_budgets[] = {0, 1, 2, 3};
+  const char* const cured_by[] = {nullptr, "predictor_reset", "gmin_ramp",
+                                  "source_ramp"};
+  ss::SimOptions options;
+  options.recovery_escalate_after = 1;
+
+  auto make_bench = [&](std::size_t k) {
+    auto spec = soft_base();
+    spec.dut.ptm->v_imt = v_imts[k];
+    auto bench = softfet::cells::make_inverter_testbench(spec);
+    if (fault_budgets[k] > 0) {
+      bench.circuit.add<softfet::testing::FaultDevice>(
+          "FNAN", bench.circuit.find_node("out"),
+          softfet::testing::FaultMode::kNanResidual, 50e-12, 1e-9,
+          fault_budgets[k]);
+    }
+    return bench;
+  };
+
+  std::vector<ss::TranResult> scalar;
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    auto bench = make_bench(k);
+    scalar.push_back(
+        ss::run_transient(bench.circuit, bench.suggested_tstop, options));
+    if (cured_by[k] == nullptr) continue;
+    SCOPED_TRACE(cured_by[k]);
+    EXPECT_EQ(scalar[k].recovered_steps, 1u);
+    const auto& attempts = scalar[k].diagnostics.attempts;
+    ASSERT_FALSE(attempts.empty());
+    EXPECT_EQ(attempts.back().strategy, cured_by[k]);
+    EXPECT_TRUE(attempts.back().succeeded);
+  }
+
+  std::vector<softfet::cells::InverterTestbench> benches;
+  for (std::size_t k = 0; k < std::size(v_imts); ++k) {
+    benches.push_back(make_bench(k));
+  }
+  std::vector<ss::BatchLaneSpec> lanes;
+  for (auto& bench : benches) {
+    lanes.push_back({&bench.circuit, bench.suggested_tstop});
+  }
+  const auto outcomes = ss::run_transient_batch(lanes, options);
+
+  ASSERT_EQ(outcomes.size(), scalar.size());
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    ASSERT_FALSE(outcomes[k].evicted) << outcomes[k].eviction_reason;
+    expect_tran_bitwise(outcomes[k].tran, scalar[k]);
+  }
+}
+
 // A lane whose Jacobian goes NaN (and stays NaN, so the scalar engine's
 // recovery ladder would engage) must be evicted — and the other lanes must
 // finish bitwise identical to scalar runs, proving the dead lane never

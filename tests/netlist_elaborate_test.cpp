@@ -167,7 +167,8 @@ TEST(Elaborate, SemanticErrors) {
 // A subckt that instantiates itself, directly or through another, must be
 // a parse error naming the cycle at the closing instance's line, not
 // unbounded recursion. So must a non-recursive nest too deep for the stack
-// or too big for memory, at the top-level instance's line.
+// or too big for memory, at the top-level instance's line, and a `.param`
+// expression nested too deep for the stack, at its own line.
 TEST(Elaborate, RecursiveSubcktsAreParseErrors) {
   // A chain of `depth` distinct subckts, each instantiating the next; the
   // top-level instance X0 sits on line 2 + 3 * depth.
@@ -192,6 +193,8 @@ TEST(Elaborate, RecursiveSubcktsAreParseErrors) {
     }
     return text + "X0 in d" + std::to_string(levels) + "\nV1 in 0 1\n";
   };
+  const std::string parens(200000, '(');
+  const std::string closes(200000, ')');
   struct Case {
     std::string netlist;
     int line;
@@ -222,6 +225,9 @@ V1 in 0 1
       // Hostile sizes fail at the top-level instance, before expanding it.
       {chain(10000), 30002, "subcircuit nesting deeper than 100 levels"},
       {doubling(40), 165, "subcircuits expand to more than 1000000 devices"},
+      {"deep parens\n.param x={" + parens + "1" + closes +
+           "}\nV1 in 0 {x}\nR1 in 0 1k\n",
+       2, "expression nested deeper than 256 levels"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.error);

@@ -499,6 +499,41 @@ TEST(Server, MonteCarloDeterminismFieldSelectsModeAndRejectsUnknown) {
   EXPECT_EQ(bad.back().string_or("event", ""), "error");
   EXPECT_NE(bad.back().string_or("message", "").find("determinism"),
             std::string::npos);
+
+  // So is an integer field that is not finite or out of range (1e400
+  // parses to inf): rejected before it is cast, and a lane block wider
+  // than the cap never starts.
+  const struct {
+    const char* id;
+    const char* fields;
+    const char* field;
+  } out_of_range[] = {
+      {"s_inf", R"("samples":1e400)", "samples"},
+      {"s_ninf", R"("samples":-1e400)", "samples"},
+      {"s_big", R"("samples":1e12)", "samples"},
+      {"seed_neg", R"("samples":4,"seed":-1)", "seed"},
+      {"seed_inf", R"("samples":4,"seed":1e400)", "seed"},
+      {"seed_big", R"("samples":4,"seed":4294967296)", "seed"},
+      {"lanes_inf", R"("samples":4,"lanes":1e400)", "lanes"},
+      {"lanes_neg", R"("samples":4,"lanes":-1)", "lanes"},
+      {"lanes_wide", R"("samples":4,"lanes":100000)", "lanes"},
+      {"ck_inf", R"("samples":4,"checkpoint_every":1e400)", "checkpoint_every"},
+      {"ck_zero", R"("samples":4,"checkpoint_every":0)", "checkpoint_every"},
+  };
+  for (const auto& row : out_of_range) {
+    SCOPED_TRACE(row.id);
+    server.handle_line(std::string(R"({"id":")") + row.id +
+                           R"(","type":"monte_carlo",)" + row.fields + "}",
+                       out.sink());
+    server.wait_idle();  // one at a time: the test queue holds 8
+    const auto events = out.events(row.id);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().string_or("event", ""), "error");
+    EXPECT_NE(events.back().string_or("message", "").find(
+                  std::string("\"") + row.field + "\" must be in"),
+              std::string::npos)
+        << events.back().string_or("message", "");
+  }
 }
 
 TEST(Server, TornJournalTailsAreDroppedSilentlyAtEveryOffset) {
