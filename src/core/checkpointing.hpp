@@ -1,5 +1,7 @@
-// Checkpoint payload codec for the batch drivers (Monte Carlo, design-space
-// sweeps): bitwise-exact double encoding plus FailureRecord round-tripping.
+// The resumable point driver shared by the batch studies (run_points: Monte
+// Carlo and the V_IMT x V_MIT design space), and the checkpoint payload
+// codec it uses: bitwise-exact double encoding plus FailureRecord
+// round-tripping.
 //
 // Payloads use C hexfloat ("%a") for every double so a resumed run decodes
 // exactly the bits the interrupted run computed — resume is bitwise
@@ -10,7 +12,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/characterize.hpp"
 #include "core/failure.hpp"
@@ -56,6 +61,56 @@ struct CheckpointSpec {
 /// implied by the slot, not stored in the payload).
 [[nodiscard]] FailureRecord decode_failure(std::size_t index,
                                            const std::string& tail);
+
+/// One checkpointed batch study as run_points() sees it: everything the
+/// study owns, while the driver owns the loop. Point i is characterized from
+/// make_spec(i); its checkpoint slot is i, or i + 1 when a baseline takes
+/// slot 0.
+struct PointStudy {
+  const char* who = "";   ///< study name, prefixes the cancel message
+  std::string tag;        ///< checkpoint tag, before the determinism marker
+  std::size_t points = 0;
+  /// Lane width: 0 = `auto_lanes`, 1 = the scalar oracle, K > 1 = K-lane
+  /// blocks. Options the batch engine does not support run scalar.
+  int lanes = 0;
+  int auto_lanes = 8;
+  std::size_t threads = 0;  ///< parallel_for workers, 0 = all hardware
+  /// Point i's spec. Throws softfet::Error when the point has no valid spec
+  /// (an impossible draw); the driver then runs it on the scalar path, where
+  /// the same throw is recorded as the point's failure.
+  std::function<cells::InverterTestbenchSpec(std::size_t)> make_spec;
+  /// FailureRecord::context of point i.
+  std::function<std::string(std::size_t)> label;
+  /// Store point i's metrics; returns the payload tail after "ok ".
+  std::function<std::string(std::size_t, TransitionMetrics&&)> keep;
+  /// Restore point i from a checkpointed "ok" tail; false = malformed.
+  std::function<bool(std::size_t, const std::string&)> restore;
+  /// Optional unisolated task 0 / slot 0 ahead of the points: `baseline`
+  /// runs it and returns its payload, `restore_baseline` decodes a
+  /// checkpointed one (false = malformed).
+  std::function<std::string()> baseline{};
+  std::function<bool(const std::string&)> restore_baseline{};
+};
+
+/// Run every point of `study` and return its failure slots (nullopt = the
+/// point completed and went through `keep` or `restore`).
+///
+/// Scheduling: one parallel_for whose tasks are the baseline (if any), then
+/// fixed blocks of lane-width consecutive points; at width 1 a block is one
+/// point on the scalar path. A batched block characterizes its open points
+/// as lanes of characterize_inverter_batch, and every lane the engine does
+/// not finish reruns on the scalar path under run_isolated. Fixed blocks
+/// keep the work-to-result mapping, and so every result, independent of the
+/// worker count.
+///
+/// Checkpointing (when `checkpoint` is enabled): slots already in the file
+/// are restored and skipped; completed points record "ok <keep>" or
+/// "fail <encode_failure>" (never a cancel-poisoned failure) and the file
+/// is saved every `flush_every` completions, on cancel and at the end. A
+/// cancel clears poisoned slots and throws BudgetExceededError(kCancel).
+[[nodiscard]] std::vector<std::optional<FailureRecord>> run_points(
+    const PointStudy& study, const CheckpointSpec& checkpoint,
+    const sim::SimOptions& options);
 
 /// TransitionMetrics -> payload tail: the nine scalar metrics plus the PTM
 /// transition counters, all bitwise round-trippable. The full waveforms

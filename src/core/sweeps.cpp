@@ -1,11 +1,9 @@
+// Parameter sweeps of the Soft-FET inverter. sweep_vimt_vmit enumerates
+// its feasible grid and hands it to run_points (core/checkpointing.hpp),
+// the resumable, lane-blocked driver it shares with ptm_monte_carlo; the
+// smaller sweeps run one isolated scalar characterization per task.
 #include "core/sweeps.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <sstream>
-
-#include "sim/batch.hpp"
-#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
@@ -43,159 +41,48 @@ std::vector<DesignSpacePoint> sweep_vimt_vmit(
 
   // One checkpoint slot per feasible grid point; the tag pins the file to
   // this exact grid (bit-exact axis values), refusing stale files.
-  const bool use_checkpoint = checkpoint_spec.enabled();
-  util::Checkpoint checkpoint;
-  std::vector<char> point_done(points.size(), 0);
-  if (use_checkpoint) {
-    std::string tag = "vimt_vmit imt=";
-    for (std::size_t i = 0; i < v_imt.size(); ++i) {
-      tag += (i == 0 ? "" : ",") + encode_double(v_imt[i]);
-    }
-    tag += " mit=";
-    for (std::size_t i = 0; i < v_mit.size(); ++i) {
-      tag += (i == 0 ? "" : ",") + encode_double(v_mit[i]);
-    }
-    // Tag also pins the determinism mode; strict<->relaxed resume is
-    // refused with a mode-specific error (see load_checkpoint_for_mode).
-    checkpoint = load_checkpoint_for_mode(checkpoint_spec.path, tag,
-                                          options.determinism, points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto payload = checkpoint.payload(i);
-      if (!payload.has_value()) continue;
-      std::istringstream in(*payload);
-      std::string keyword, tail;
-      in >> keyword;
-      std::getline(in, tail);
-      if (!tail.empty() && tail.front() == ' ') tail.erase(0, 1);
-      if (keyword == "ok") {
-        points[i].metrics = decode_metrics(tail);
-      } else if (keyword == "fail") {
-        points[i].failure = decode_failure(i, tail);
-      } else {
-        throw Error("checkpoint '" + checkpoint_spec.path + "': slot " +
-                    std::to_string(i) + " has malformed payload '" + *payload +
-                    "'");
-      }
-      point_done[i] = 1;
-    }
+  std::string tag = "vimt_vmit imt=";
+  for (std::size_t i = 0; i < v_imt.size(); ++i) {
+    tag += (i == 0 ? "" : ",") + encode_double(v_imt[i]);
   }
-
-  std::atomic<int> completions_since_flush{0};
-  const auto note_done = [&](std::size_t i, std::string payload) {
-    if (!use_checkpoint) return;
-    checkpoint.record(i, std::move(payload));
-    const int fresh = completions_since_flush.fetch_add(1) + 1;
-    if (fresh >= std::max(checkpoint_spec.flush_every, 1)) {
-      completions_since_flush.store(0);
-      checkpoint.save(checkpoint_spec.path);
-    }
-  };
-
-  const auto make_spec = [&](std::size_t i) {
-    auto spec = base;
-    spec.dut.ptm->v_imt = points[i].v_imt;
-    spec.dut.ptm->v_mit = points[i].v_mit;
-    return spec;
-  };
-
-  const auto run_point = [&](std::size_t i) {
-    auto spec = make_spec(i);
-    points[i].failure = run_isolated(
-        i,
-        "v_imt=" + util::format_si(points[i].v_imt, 3, "V") +
-            " v_mit=" + util::format_si(points[i].v_mit, 3, "V"),
-        options, [&](const sim::SimOptions& opts) {
-          points[i].metrics = characterize_inverter(spec, opts);
-        });
-    if (!points[i].failure.has_value()) {
-      note_done(i, "ok " + encode_metrics(points[i].metrics));
-    } else if (!points[i].failure->cancelled()) {
-      note_done(i, "fail " + encode_failure(*points[i].failure));
-    }
-  };
-
-  // One block of consecutive grid points through the lockstep batch engine;
-  // any lane the batch cannot finish (eviction, measurement throw) falls
-  // back to run_point, whose behaviour IS the scalar path. Blocks are fixed
-  // spans of point indices, so results match the scalar scheduler bitwise
-  // for any worker count.
-  const auto run_block = [&](std::size_t begin, std::size_t end) {
-    std::vector<std::size_t> lane_points;
-    std::vector<cells::InverterTestbenchSpec> lane_specs;
-    lane_points.reserve(end - begin);
-    lane_specs.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (point_done[i] != 0) continue;
-      lane_points.push_back(i);
-      lane_specs.push_back(make_spec(i));
-    }
-    if (lane_specs.empty()) return;
-    const auto lane_results = characterize_inverter_batch(lane_specs, options);
-    for (std::size_t j = 0; j < lane_results.size(); ++j) {
-      const std::size_t i = lane_points[j];
-      if (lane_results[j].has_value()) {
-        points[i].metrics = *lane_results[j];
-        points[i].failure.reset();
-        note_done(i, "ok " + encode_metrics(points[i].metrics));
-      } else {
-        run_point(i);
-      }
-    }
-  };
-
-  // Lane knob as MonteCarloSpec::lanes (0 = auto), but auto is 8 lanes in
-  // both determinism modes: unlike ptm_monte_carlo it does not widen to 16
-  // under kRelaxedUlp. Budgeted runs stay scalar: the batch cannot
-  // replicate per-lane truncation.
-  constexpr int kAutoLanes = 8;
-  const int lane_knob = lanes == 0 ? kAutoLanes : std::max(lanes, 1);
-  const bool use_batch =
-      lane_knob > 1 && sim::batch_transient_supported(options);
-
-  if (use_batch) {
-    const auto lane_width = static_cast<std::size_t>(lane_knob);
-    const std::size_t blocks =
-        (points.size() + lane_width - 1) / lane_width;
-    util::parallel_for(
-        blocks,
-        [&](std::size_t b) {
-          const std::size_t begin = b * lane_width;
-          run_block(begin, std::min(begin + lane_width, points.size()));
-        },
-        0, options.budget.cancel);
-  } else {
-    util::parallel_for(
-        points.size(),
-        [&](std::size_t i) {
-          if (point_done[i] != 0) return;
-          run_point(i);
-        },
-        0, options.budget.cancel);
+  tag += " mit=";
+  for (std::size_t i = 0; i < v_mit.size(); ++i) {
+    tag += (i == 0 ? "" : ",") + encode_double(v_mit[i]);
   }
-
-  // Cancel-poisoned points were never really attempted: clear them (they
-  // rerun on resume), flush what is real, and surface the cancel — a
-  // silently partial design-space map would mislead.
-  bool cancelled = options.budget.cancel != nullptr &&
-                   options.budget.cancel->requested();
-  for (auto& point : points) {
-    if (point.failure.has_value() && point.failure->cancelled()) {
-      point.failure.reset();
-      cancelled = true;
-    }
+  // Auto width is 8 lanes in both determinism modes: unlike
+  // ptm_monte_carlo it does not widen to 16 under kRelaxedUlp.
+  auto failures = run_points(
+      {.who = "sweep_vimt_vmit",
+       .tag = std::move(tag),
+       .points = points.size(),
+       .lanes = lanes,
+       .auto_lanes = 8,
+       .make_spec =
+           [&](std::size_t i) {
+             auto spec = base;
+             spec.dut.ptm->v_imt = points[i].v_imt;
+             spec.dut.ptm->v_mit = points[i].v_mit;
+             return spec;
+           },
+       .label =
+           [&](std::size_t i) {
+             return "v_imt=" + util::format_si(points[i].v_imt, 3, "V") +
+                    " v_mit=" + util::format_si(points[i].v_mit, 3, "V");
+           },
+       .keep =
+           [&](std::size_t i, TransitionMetrics&& m) {
+             points[i].metrics = std::move(m);
+             return encode_metrics(points[i].metrics);
+           },
+       .restore =
+           [&](std::size_t i, const std::string& tail) {
+             points[i].metrics = decode_metrics(tail);
+             return true;
+           }},
+      checkpoint_spec, options);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].failure = std::move(failures[i]);
   }
-  if (cancelled) {
-    std::string message = "sweep_vimt_vmit: cancelled";
-    if (use_checkpoint) {
-      checkpoint.save(checkpoint_spec.path);
-      message += " with " + std::to_string(checkpoint.completed()) + "/" +
-                 std::to_string(points.size()) +
-                 " points checkpointed; rerun against '" +
-                 checkpoint_spec.path + "' to resume";
-    }
-    throw BudgetExceededError(message, util::BudgetStop::kCancel);
-  }
-  if (use_checkpoint) checkpoint.save(checkpoint_spec.path);
   return points;
 }
 

@@ -1,15 +1,16 @@
+// PTM sensitivity (central differences, one flat parallel batch) and the
+// Monte-Carlo variability study. ptm_monte_carlo owns only its study: the
+// seeded per-sample draws, the baseline, the payload codec and the
+// statistics; run_points (core/checkpointing.hpp) owns the checkpointed,
+// lane-blocked, failure-isolating loop.
 #include "core/variation.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <random>
 #include <sstream>
 
-#include "sim/batch.hpp"
-#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -116,87 +117,14 @@ MonteCarloStats ptm_monte_carlo(const cells::InverterTestbenchSpec& base,
   double baseline_imax = 0.0;
   std::vector<double> imaxes(sample_count, 0.0);
   std::vector<double> delays(sample_count, 0.0);
-  // Per-sample failure slots: a set slot marks the sample as isolated, and
-  // keeping them indexed (rather than pushing to a shared list) makes the
-  // failure report thread-count independent too.
-  std::vector<std::optional<FailureRecord>> failure_slots(sample_count);
-
-  // Checkpoint slot 0 is the baseline, slot k+1 is sample k. The tag pins
-  // the file to this exact study so a stale file cannot contaminate it.
-  const bool use_checkpoint = mc.checkpoint.enabled();
-  util::Checkpoint checkpoint;
-  bool baseline_done = false;
-  std::vector<char> sample_done(sample_count, 0);
-  if (use_checkpoint) {
-    const std::string tag =
-        "mc seed=" + std::to_string(mc.seed) +
-        " samples=" + std::to_string(mc.samples) +
-        " sig_th=" + encode_double(mc.sigma_threshold) +
-        " sig_r=" + encode_double(mc.sigma_resistance) +
-        " sig_t=" + encode_double(mc.sigma_tptm);
-    // The tag additionally pins the determinism mode (relaxed-mode files
-    // carry a " det=relaxed" marker); a strict<->relaxed resume is refused
-    // with a mode-specific error instead of silently mixing rounding
-    // regimes.
-    checkpoint = load_checkpoint_for_mode(mc.checkpoint.path, tag,
-                                          options.determinism,
-                                          sample_count + 1);
-    const auto malformed = [&](std::size_t slot, const std::string& payload) {
-      return Error("checkpoint '" + mc.checkpoint.path + "': slot " +
-                   std::to_string(slot) + " has malformed payload '" +
-                   payload + "'");
-    };
-    if (const auto payload = checkpoint.payload(0)) {
-      std::istringstream in(*payload);
-      std::string keyword, token;
-      if (!(in >> keyword >> token) || keyword != "base") {
-        throw malformed(0, *payload);
-      }
-      baseline_imax = decode_double(token);
-      baseline_done = true;
-    }
-    for (std::size_t k = 0; k < sample_count; ++k) {
-      const auto payload = checkpoint.payload(k + 1);
-      if (!payload.has_value()) continue;
-      std::istringstream in(*payload);
-      std::string keyword;
-      in >> keyword;
-      if (keyword == "ok") {
-        std::string imax_token, delay_token;
-        if (!(in >> imax_token >> delay_token)) throw malformed(k + 1, *payload);
-        imaxes[k] = decode_double(imax_token);
-        delays[k] = decode_double(delay_token);
-      } else if (keyword == "fail") {
-        std::string tail;
-        std::getline(in, tail);
-        if (!tail.empty() && tail.front() == ' ') tail.erase(0, 1);
-        failure_slots[k] = decode_failure(k, tail);
-      } else {
-        throw malformed(k + 1, *payload);
-      }
-      sample_done[k] = 1;
-    }
-  }
-
-  std::atomic<int> completions_since_flush{0};
-  const auto note_done = [&](std::size_t slot, std::string payload) {
-    if (!use_checkpoint) return;
-    checkpoint.record(slot, std::move(payload));
-    const int fresh = completions_since_flush.fetch_add(1) + 1;
-    if (fresh >= std::max(mc.checkpoint.flush_every, 1)) {
-      completions_since_flush.store(0);
-      checkpoint.save(mc.checkpoint.path);
-    }
-  };
 
   // Every sample owns an independent RNG stream seeded from mc.seed + k, so
   // the draws — and therefore the statistics — are identical for any worker
-  // count, including the serial path. The batched engine consumes the exact
-  // same stream through the same code, which is what makes its results
-  // bitwise identical to the scalar oracle.
+  // count and lane width: batched lanes and the scalar oracle both draw
+  // through this one maker.
   const int draw_budget = std::max(mc.max_draw_attempts, 1);
-  const auto draw_sample = [&](std::size_t k,
-                               cells::InverterTestbenchSpec& spec) {
+  const auto make_spec = [&](std::size_t k) {
+    auto spec = base;
     std::mt19937 rng(mc.seed + static_cast<unsigned>(k));
     std::normal_distribution<double> gauss(0.0, 1.0);
     const auto draw = [&](double nominal, double sigma_rel) {
@@ -214,164 +142,76 @@ MonteCarloStats ptm_monte_carlo(const cells::InverterTestbenchSpec& base,
       p.t_ptm = draw(base.dut.ptm->t_ptm, mc.sigma_tptm);
       if (p.r_ins > p.r_met && p.v_imt > p.v_mit && p.v_mit > 0.0 &&
           p.t_ptm > 0.0) {
-        return true;
+        break;
       }
     }
-    return false;  // p keeps the last (invalid) draw; validate() reports it
-  };
-
-  const auto run_sample = [&](std::size_t k) {
-    auto spec = base;
-    draw_sample(k, spec);
-    auto& p = *spec.dut.ptm;
-    failure_slots[k] = run_isolated(
-        k, "sample " + std::to_string(k), options,
-        [&](const sim::SimOptions& opts) {
-          try {
-            p.validate();
-          } catch (const Error& e) {
-            throw Error("ptm_monte_carlo: sample " + std::to_string(k) +
-                        " found no valid PTM parameter draw in " +
-                        std::to_string(draw_budget) + " attempts (" +
-                        e.what() +
-                        "); check the sigma_* spreads against the card");
-          }
-          auto sample_spec = spec;
-          if (mc.per_sample_hook) mc.per_sample_hook(k, sample_spec);
-          const TransitionMetrics m = characterize_inverter(sample_spec, opts);
-          imaxes[k] = m.i_max;
-          delays[k] = m.delay;
-        });
-    if (!failure_slots[k].has_value()) {
-      note_done(k + 1, "ok " + encode_double(imaxes[k]) + ' ' +
-                           encode_double(delays[k]));
-    } else if (!failure_slots[k]->cancelled()) {
-      // Real failures (incl. per-point budget timeouts) persist so resume
-      // does not redo them; cancel-poisoned slots must rerun instead.
-      note_done(k + 1, "fail " + encode_failure(*failure_slots[k]));
+    try {
+      p.validate();  // p may keep the last (invalid) draw
+    } catch (const Error& e) {
+      throw Error("ptm_monte_carlo: sample " + std::to_string(k) +
+                  " found no valid PTM parameter draw in " +
+                  std::to_string(draw_budget) + " attempts (" + e.what() +
+                  "); check the sigma_* spreads against the card");
     }
+    if (mc.per_sample_hook) mc.per_sample_hook(k, spec);
+    return spec;
   };
 
-  const auto run_baseline = [&] {
-    if (baseline_done) return;
-    auto spec = base;
-    spec.dut.ptm.reset();
-    baseline_imax = characterize_inverter(spec, options).i_max;
-    note_done(0, "base " + encode_double(baseline_imax));
-  };
-
-  // One block of consecutive samples through the lockstep batch engine.
-  // Unfinished samples draw their specs (same RNG streams as run_sample),
-  // run as lanes of one batch, and record exactly what the scalar path
-  // would; anything the batch cannot finish (invalid draw, eviction,
-  // failure, cancel) falls back to run_sample, whose behaviour — including
-  // isolation retries and failure records — IS the scalar path.
-  const auto run_block = [&](std::size_t begin, std::size_t end) {
-    std::vector<std::size_t> lane_samples;
-    std::vector<cells::InverterTestbenchSpec> lane_specs;
-    lane_samples.reserve(end - begin);
-    lane_specs.reserve(end - begin);
-    for (std::size_t k = begin; k < end; ++k) {
-      if (sample_done[k] != 0) continue;
-      auto spec = base;
-      if (!draw_sample(k, spec)) {
-        run_sample(k);  // reproduces the no-valid-draw error verbatim
-        continue;
-      }
-      if (mc.per_sample_hook) mc.per_sample_hook(k, spec);
-      lane_samples.push_back(k);
-      lane_specs.push_back(std::move(spec));
-    }
-    if (lane_specs.empty()) return;
-    const auto lane_results = characterize_inverter_batch(lane_specs, options);
-    for (std::size_t j = 0; j < lane_results.size(); ++j) {
-      const std::size_t k = lane_samples[j];
-      if (lane_results[j].has_value()) {
-        imaxes[k] = lane_results[j]->i_max;
-        delays[k] = lane_results[j]->delay;
-        failure_slots[k].reset();
-        note_done(k + 1, "ok " + encode_double(imaxes[k]) + ' ' +
-                             encode_double(delays[k]));
-      } else {
-        run_sample(k);
-      }
-    }
-  };
-
-  // Resolve the lane knob: 0 = auto. Budgeted runs (wall-clock/step caps)
-  // stay scalar because the batch cannot replicate per-lane truncation.
   // Auto width is mode-dependent: 8 lanes saturate the bitwise engine
   // (wider only grows the working set), but the relaxed SIMD device
   // kernels keep paying past that — 16 lanes measure ~7% faster than 8 on
   // the inverter study (EXPERIMENTS.md) before the working set wins again.
   constexpr int kAutoLanes = 8;
   constexpr int kAutoLanesRelaxed = 16;
-  const int auto_lanes = options.determinism == sim::Determinism::kRelaxedUlp
-                             ? kAutoLanesRelaxed
-                             : kAutoLanes;
-  const int lane_knob = mc.lanes == 0 ? auto_lanes : std::max(mc.lanes, 1);
-  const bool use_batch =
-      lane_knob > 1 && sim::batch_transient_supported(options);
-  const auto threads = static_cast<std::size_t>(std::max(mc.threads, 0));
-
-  if (use_batch) {
-    // Task 0 is the PTM-less baseline; task b >= 1 is the block of samples
-    // [(b-1)*K, b*K). Blocks are fixed spans of sample indices, so the
-    // work-to-result mapping — and every result — is identical for any
-    // worker count, exactly as in the scalar scheduler.
-    const auto lane_width = static_cast<std::size_t>(lane_knob);
-    const std::size_t blocks = (sample_count + lane_width - 1) / lane_width;
-    util::parallel_for(
-        blocks + 1,
-        [&](std::size_t task) {
-          if (task == 0) {
-            run_baseline();
-            return;
-          }
-          const std::size_t begin = (task - 1) * lane_width;
-          run_block(begin, std::min(begin + lane_width, sample_count));
-        },
-        threads, options.budget.cancel);
-  } else {
-    // Scalar oracle path: task 0 is the baseline; tasks 1..N are the
-    // samples. Resumed slots return immediately, so a restart only pays
-    // for unfinished points.
-    util::parallel_for(
-        sample_count + 1,
-        [&](std::size_t task) {
-          if (task == 0) {
-            run_baseline();
-            return;
-          }
-          if (sample_done[task - 1] != 0) return;
-          run_sample(task - 1);
-        },
-        threads, options.budget.cancel);
-  }
-
-  // A cancel mid-batch leaves poisoned failure slots (and unclaimed
-  // samples). Clear the poisoned ones — they were never really attempted —
-  // then flush and surface the cancel: partial statistics would mislead.
-  bool cancelled = options.budget.cancel != nullptr &&
-                   options.budget.cancel->requested();
-  for (auto& slot : failure_slots) {
-    if (slot.has_value() && slot->cancelled()) {
-      slot.reset();
-      cancelled = true;
-    }
-  }
-  if (cancelled) {
-    std::string message = "ptm_monte_carlo: cancelled";
-    if (use_checkpoint) {
-      checkpoint.save(mc.checkpoint.path);
-      message += " with " + std::to_string(checkpoint.completed()) + "/" +
-                 std::to_string(sample_count + 1) +
-                 " points checkpointed; rerun against '" + mc.checkpoint.path +
-                 "' to resume";
-    }
-    throw BudgetExceededError(message, util::BudgetStop::kCancel);
-  }
-  if (use_checkpoint) checkpoint.save(mc.checkpoint.path);
+  // Checkpoint slot 0 is the PTM-less baseline, slot k+1 is sample k. The
+  // tag pins the file to this exact study so a stale file cannot
+  // contaminate it.
+  auto failure_slots = run_points(
+      {.who = "ptm_monte_carlo",
+       .tag = "mc seed=" + std::to_string(mc.seed) +
+              " samples=" + std::to_string(mc.samples) +
+              " sig_th=" + encode_double(mc.sigma_threshold) +
+              " sig_r=" + encode_double(mc.sigma_resistance) +
+              " sig_t=" + encode_double(mc.sigma_tptm),
+       .points = sample_count,
+       .lanes = mc.lanes,
+       .auto_lanes = options.determinism == sim::Determinism::kRelaxedUlp
+                         ? kAutoLanesRelaxed
+                         : kAutoLanes,
+       .threads = static_cast<std::size_t>(std::max(mc.threads, 0)),
+       .make_spec = make_spec,
+       .label = [](std::size_t k) { return "sample " + std::to_string(k); },
+       .keep =
+           [&](std::size_t k, TransitionMetrics&& m) {
+             imaxes[k] = m.i_max;
+             delays[k] = m.delay;
+             return encode_double(m.i_max) + ' ' + encode_double(m.delay);
+           },
+       .restore =
+           [&](std::size_t k, const std::string& tail) {
+             std::istringstream in(tail);
+             std::string imax_token, delay_token;
+             if (!(in >> imax_token >> delay_token)) return false;
+             imaxes[k] = decode_double(imax_token);
+             delays[k] = decode_double(delay_token);
+             return true;
+           },
+       .baseline =
+           [&] {
+             auto spec = base;
+             spec.dut.ptm.reset();
+             baseline_imax = characterize_inverter(spec, options).i_max;
+             return "base " + encode_double(baseline_imax);
+           },
+       .restore_baseline =
+           [&](const std::string& payload) {
+             std::istringstream in(payload);
+             std::string keyword, token;
+             if (!(in >> keyword >> token) || keyword != "base") return false;
+             baseline_imax = decode_double(token);
+             return true;
+           }},
+      mc.checkpoint, options);
 
   // Compact survivors serially in index order so the floating-point
   // accumulation order — hence the result — is thread-count independent.

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "cells/inverter.hpp"
 #include "core/characterize.hpp"
+#include "core/sweeps.hpp"
 #include "core/variation.hpp"
 #include "devices/ptm.hpp"
 #include "fault_injection.hpp"
@@ -118,6 +121,20 @@ void expect_stats_bitwise(const sc::MonteCarloStats& a,
   EXPECT_EQ(a.delay_std, b.delay_std);
   EXPECT_EQ(a.delay_worst, b.delay_worst);
   EXPECT_EQ(a.fraction_below_baseline, b.fraction_below_baseline);
+}
+
+struct TempFile {
+  explicit TempFile(const std::string& name)
+      : path(::testing::TempDir() + name) {
+    std::remove(path.c_str());
+  }
+  ~TempFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace
@@ -392,4 +409,49 @@ TEST(BatchEquivalence, McFaultedSampleFailsIdenticallyToScalar) {
   EXPECT_EQ(batched.failures[0].index, kFaultSample);
   EXPECT_EQ(scalar.failures[0].index, kFaultSample);
   EXPECT_EQ(batched.failures[0].message, scalar.failures[0].message);
+}
+
+// The design-space sweep shares the Monte-Carlo driver's lane blocks: every
+// metric, the time axis and the final checkpoint file are bitwise identical
+// for the scalar oracle, 3-lane blocks and the auto width. The grid has 8
+// feasible points, so the tail block at K=3 is ragged.
+TEST(BatchEquivalence, SweepBitwiseAcrossLaneWidths) {
+  const std::vector<double> v_imts{0.3, 0.4, 0.5};
+  const std::vector<double> v_mits{0.1, 0.2, 0.35};
+  constexpr int kWidths[] = {1, 3, 0};  // scalar oracle first
+  std::vector<std::vector<sc::DesignSpacePoint>> sweeps;
+  std::vector<std::string> files;
+  for (const int lanes : kWidths) {
+    TempFile file("sweep_lanes_" + std::to_string(lanes) + ".ckpt");
+    sc::CheckpointSpec checkpoint;
+    checkpoint.path = file.path;
+    sweeps.push_back(sc::sweep_vimt_vmit(soft_base(), v_imts, v_mits, {},
+                                         checkpoint, lanes));
+    files.push_back(read_file(file.path));
+  }
+  const auto scalars = [](const sc::TransitionMetrics& m) {
+    return std::vector<double>{m.i_max,   m.max_didt, m.delay,
+                               m.output_transition, m.q_short,
+                               m.q_output, m.energy};
+  };
+  const auto& oracle = sweeps.front();
+  ASSERT_EQ(oracle.size(), 8u);
+  ASSERT_FALSE(files.front().empty());
+  for (std::size_t w = 1; w < sweeps.size(); ++w) {
+    SCOPED_TRACE("lanes=" + std::to_string(kWidths[w]));
+    ASSERT_EQ(sweeps[w].size(), oracle.size());
+    EXPECT_EQ(files[w], files.front());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      const auto& a = sweeps[w][i];
+      const auto& b = oracle[i];
+      ASSERT_FALSE(a.failure.has_value());
+      ASSERT_FALSE(b.failure.has_value());
+      expect_bitwise(scalars(a.metrics), scalars(b.metrics), "metrics");
+      EXPECT_EQ(a.metrics.imt_count, b.metrics.imt_count);
+      EXPECT_EQ(a.metrics.mit_count, b.metrics.mit_count);
+      EXPECT_FALSE(a.metrics.tran.time.empty());
+      expect_bitwise(a.metrics.tran.time, b.metrics.tran.time, "time axis");
+    }
+  }
 }

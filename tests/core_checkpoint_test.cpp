@@ -1,10 +1,12 @@
 // Checkpoint/resume for the batch drivers: the payload codec is bitwise
 // exact, a cancelled Monte-Carlo run resumes to statistics identical to an
-// uninterrupted run, and a finished sweep reloads without re-simulating.
+// uninterrupted run, a finished sweep reloads without re-simulating, and a
+// partial sweep file reruns only its open points.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -230,5 +232,58 @@ TEST(SweepCheckpoint, FinishedSweepReloadsWithoutSimulating) {
     EXPECT_EQ(second[i].metrics.max_didt, first[i].metrics.max_didt);
     EXPECT_EQ(second[i].metrics.delay, first[i].metrics.delay);
     EXPECT_EQ(second[i].metrics.imt_count, first[i].metrics.imt_count);
+  }
+}
+
+TEST(SweepCheckpoint, PartialFileResumesOnlyOpenPoints) {
+  TempFile file("sweep_partial.ckpt");
+  const auto spec = soft_base();
+  const std::vector<double> v_imts{0.35, 0.45};
+  const std::vector<double> v_mits{0.2, 0.3};
+  sc::CheckpointSpec checkpoint;
+  checkpoint.path = file.path;
+  checkpoint.flush_every = 1;
+
+  const auto first =
+      sc::sweep_vimt_vmit(spec, v_imts, v_mits, {}, checkpoint);
+  ASSERT_EQ(first.size(), 4u);
+
+  // Drop point 2's slot line, as if the run had died before recording it.
+  constexpr std::size_t kDropped = 2;
+  std::string kept;
+  int dropped_lines = 0;
+  {
+    std::ifstream in(file.path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("slot " + std::to_string(kDropped) + ' ', 0) == 0) {
+        ++dropped_lines;
+        continue;
+      }
+      kept += line + '\n';
+    }
+  }
+  ASSERT_EQ(dropped_lines, 1);
+  std::ofstream(file.path, std::ios::trunc) << kept;
+
+  const auto second =
+      sc::sweep_vimt_vmit(spec, v_imts, v_mits, {}, checkpoint);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    const auto& a = second[i].metrics;
+    const auto& b = first[i].metrics;
+    EXPECT_FALSE(second[i].failure.has_value());
+    // Only the reopened point was simulated again.
+    EXPECT_EQ(a.tran.time.empty(), i != kDropped);
+    EXPECT_TRUE(same_bits(a.i_max, b.i_max));
+    EXPECT_TRUE(same_bits(a.max_didt, b.max_didt));
+    EXPECT_TRUE(same_bits(a.delay, b.delay));
+    EXPECT_TRUE(same_bits(a.output_transition, b.output_transition));
+    EXPECT_TRUE(same_bits(a.q_short, b.q_short));
+    EXPECT_TRUE(same_bits(a.q_output, b.q_output));
+    EXPECT_TRUE(same_bits(a.energy, b.energy));
+    EXPECT_EQ(a.imt_count, b.imt_count);
+    EXPECT_EQ(a.mit_count, b.mit_count);
   }
 }
