@@ -1,6 +1,7 @@
 // Parsed (but not yet elaborated) netlist structures.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +33,10 @@ struct SubcktDef {
   std::vector<DeviceCard> devices;
 };
 
+/// Largest point list a .dc or .ac card may expand to; the parser rejects
+/// any sweep that would pass it.
+inline constexpr std::size_t kMaxSweepPoints = 1'000'000;
+
 /// .ac dec <points-per-decade> <f_start> <f_stop>  (or "lin <n> f1 f2")
 struct AcDirective {
   bool decade = true;   ///< false = linear spacing
@@ -39,8 +44,9 @@ struct AcDirective {
   double f_start = 1.0;
   double f_stop = 1e9;
 
-  /// Expand into the frequency grid.
-  [[nodiscard]] std::vector<double> frequencies() const;
+  /// Expand into the frequency grid (its first `limit` entries).
+  [[nodiscard]] std::vector<double> frequencies(
+      std::size_t limit = static_cast<std::size_t>(-1)) const;
 };
 
 /// .tran <tstep> <tstop>
@@ -56,8 +62,9 @@ struct DcDirective {
   double stop = 0.0;
   double step = 0.0;
 
-  /// Expand into the list of sweep points.
-  [[nodiscard]] std::vector<double> points() const;
+  /// Expand into the list of sweep points (its first `limit` entries).
+  [[nodiscard]] std::vector<double> points(
+      std::size_t limit = static_cast<std::size_t>(-1)) const;
 };
 
 /// .measure card captured for post-analysis evaluation.

@@ -140,6 +140,24 @@ struct Line {
   return *value;
 }
 
+/// A sweep bound or step: a number, and finite.
+[[nodiscard]] double parse_sweep_token(const std::string& token, int line) {
+  const double value = parse_number_token(token, line);
+  if (!std::isfinite(value)) {
+    throw ParseError("sweep value '" + token + "' is not finite", line);
+  }
+  return value;
+}
+
+/// Reject a sweep whose point list would pass kMaxSweepPoints entries.
+void check_point_count(std::size_t points, const char* card, int line) {
+  if (points > kMaxSweepPoints) {
+    throw ParseError(std::string(card) + " sweep has more than " +
+                         std::to_string(kMaxSweepPoints) + " points",
+                     line);
+  }
+}
+
 class AstBuilder {
  public:
   explicit AstBuilder(std::string include_dir)
@@ -263,9 +281,11 @@ class AstBuilder {
       }
       DcDirective dc;
       dc.source = util::to_lower(tokens[1]);
-      dc.start = parse_number_token(tokens[2], line.number);
-      dc.stop = parse_number_token(tokens[3], line.number);
-      dc.step = parse_number_token(tokens[4], line.number);
+      dc.start = parse_sweep_token(tokens[2], line.number);
+      dc.stop = parse_sweep_token(tokens[3], line.number);
+      dc.step = parse_sweep_token(tokens[4], line.number);
+      check_point_count(dc.points(kMaxSweepPoints + 1).size(), ".dc",
+                        line.number);
       ast.dc = dc;
       return;
     }
@@ -283,13 +303,22 @@ class AstBuilder {
       } else {
         throw ParseError(".ac mode must be dec or lin", line.number);
       }
-      ac.points = static_cast<int>(parse_number_token(tokens[2], line.number));
-      ac.f_start = parse_number_token(tokens[3], line.number);
-      ac.f_stop = parse_number_token(tokens[4], line.number);
-      if (ac.points < 1 || !(ac.f_start > 0.0) || !(ac.f_stop > ac.f_start)) {
+      const double points = parse_number_token(tokens[2], line.number);
+      if (!(points >= 1.0 && points <= static_cast<double>(kMaxSweepPoints) &&
+            points == std::floor(points))) {
+        throw ParseError(".ac points must be an integer in [1, " +
+                             std::to_string(kMaxSweepPoints) + "]",
+                         line.number);
+      }
+      ac.points = static_cast<int>(points);
+      ac.f_start = parse_sweep_token(tokens[3], line.number);
+      ac.f_stop = parse_sweep_token(tokens[4], line.number);
+      if (!(ac.f_start > 0.0) || !(ac.f_stop > ac.f_start)) {
         throw ParseError(".ac needs points >= 1 and 0 < fstart < fstop",
                          line.number);
       }
+      check_point_count(ac.frequencies(kMaxSweepPoints + 1).size(), ".ac",
+                        line.number);
       ast.ac = ac;
       return;
     }
@@ -379,34 +408,37 @@ class AstBuilder {
 
 }  // namespace
 
-std::vector<double> AcDirective::frequencies() const {
+std::vector<double> AcDirective::frequencies(std::size_t limit) const {
   std::vector<double> freqs;
   if (decade) {
     const double step = 1.0 / points;
-    for (double e = std::log10(f_start); e <= std::log10(f_stop) + 1e-12;
-         e += step) {
+    for (double e = std::log10(f_start);
+         freqs.size() < limit && e <= std::log10(f_stop) + 1e-12; e += step) {
       freqs.push_back(std::pow(10.0, e));
     }
     return freqs;
   }
   if (points == 1) return {f_start};
-  for (int i = 0; i < points; ++i) {
+  for (int i = 0; i < points && freqs.size() < limit; ++i) {
     freqs.push_back(f_start + (f_stop - f_start) * i / (points - 1));
   }
   return freqs;
 }
 
-std::vector<double> DcDirective::points() const {
+std::vector<double> DcDirective::points(std::size_t limit) const {
   std::vector<double> values;
   if (step == 0.0) {
     values.push_back(start);
     return values;
   }
+  // The accumulated `v += step` defines the sweep: a step lost to rounding
+  // never advances, and only `limit` ends it.
   const double direction = (stop >= start) ? 1.0 : -1.0;
   const double magnitude = std::abs(step) * direction;
   for (double v = start;
-       direction > 0 ? v <= stop + 1e-12 * std::abs(step)
-                     : v >= stop - 1e-12 * std::abs(step);
+       values.size() < limit && (direction > 0
+                                     ? v <= stop + 1e-12 * std::abs(step)
+                                     : v >= stop - 1e-12 * std::abs(step));
        v += magnitude) {
     values.push_back(v);
   }

@@ -604,6 +604,11 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
   if (config_.max_timeout_seconds > 0.0 && timeout > config_.max_timeout_seconds)
     timeout = config_.max_timeout_seconds;
 
+  // In process mode `started` means a live worker is about to take the
+  // job: spawn the slot's worker (and wait out its handshake) first, so a
+  // client that acts on `started` never races a lazy fork. A failed spawn
+  // is reported by the attempt below.
+  if (supervisor_) (void)supervisor_->ensure_worker(slot, job->cancel);
   {
     JsonValue fields = JsonValue::object();
     fields.set("type", JsonValue::string(job->request.type));

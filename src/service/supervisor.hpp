@@ -133,6 +133,13 @@ class Supervisor {
                                const std::string& fields_json)>& emit,
       const util::CancelToken& cancel);
 
+  /// Make slot `slot`'s worker live: after its respawn backoff, spawn it
+  /// and complete the `ready` handshake, unless it is live already. False
+  /// on cancel, shutdown, or repeated spawn failure (run_job then reports
+  /// it). MUST only be called by the one thread that owns `slot`.
+  [[nodiscard]] bool ensure_worker(std::size_t slot,
+                                   const util::CancelToken& cancel);
+
   /// EOF every worker's job pipe (clean exit), escalate stragglers to
   /// SIGKILL, reap everything. Idempotent. Call only when no run_job is in
   /// flight (the server drains first).
@@ -155,8 +162,6 @@ class Supervisor {
     std::chrono::steady_clock::time_point earliest_respawn{};
   };
 
-  [[nodiscard]] bool ensure_worker(std::size_t slot,
-                                   const util::CancelToken& cancel);
   [[nodiscard]] bool spawn_worker(std::size_t slot);
   /// SIGKILL (when still alive), reap, collect forensics, close fds, and
   /// arm the respawn backoff. Returns the kCrashed verdict.

@@ -26,7 +26,8 @@ class DcSettable {
 
 /// Sweep the DC value of the named source over `values`, carrying the
 /// solution and quasistatic device state (PTM phase) from point to point —
-/// hysteresis loops emerge when `values` goes up then down.
+/// hysteresis loops emerge when `values` goes up then down. One run budget
+/// bounds the whole sweep; tripping it throws softfet::BudgetExceededError.
 [[nodiscard]] SweepResult dc_sweep(Circuit& circuit,
                                    const std::string& source_name,
                                    const std::vector<double>& values,

@@ -1,6 +1,7 @@
 // DC sweep with solution and quasistatic-state continuation.
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 
 namespace softfet::sim {
@@ -8,6 +9,7 @@ namespace softfet::sim {
 SweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
                      const std::vector<double>& values,
                      const SimOptions& options) {
+  const util::BudgetTimer budget(options.budget);  // bounds the whole sweep
   circuit.prepare();
   Device* device = circuit.find_device(source_name);
   if (device == nullptr) {
@@ -22,7 +24,6 @@ SweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
 
   SweepResult result;
   result.table = SignalTable(detail::signal_names(circuit));
-  LoadContext ctx;
   // The sweep re-solves the same circuit at every bias point; one solver
   // keeps the factorization structure cached across the whole sweep.
   numeric::LinearSolver solver(options.solver_config());
@@ -31,21 +32,7 @@ SweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
 
   for (const double value : values) {
     settable->set_dc(value);
-    detail::solve_dc(circuit, options, ctx, x, &solver);
-
-    // Hysteretic devices (PTM) may flip phase at this bias; iterate until
-    // the quasistatic state is self-consistent.
-    constexpr int kMaxStateIterations = 20;
-    for (int i = 0; i < kMaxStateIterations; ++i) {
-      bool changed = false;
-      for (const auto& dev : circuit.devices()) {
-        changed = dev->update_quasistatic_state(x) || changed;
-      }
-      if (!changed) break;
-      detail::solve_dc(circuit, options, ctx, x, &solver);
-    }
-
-    for (const auto& dev : circuit.devices()) dev->init_state(x);
+    (void)detail::solve_dc(circuit, options, x, solver, budget);
     result.axis.push_back(value);
     detail::sample_row_into(circuit, x, row);
     result.table.append_row(row);

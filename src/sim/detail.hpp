@@ -7,22 +7,25 @@
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "sim/options.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 
 namespace softfet::sim::detail {
 
-/// Robust DC solve (direct Newton -> gmin stepping -> source stepping).
-/// `x` is the warm start in and the solution out; returns Newton iterations.
-/// Throws softfet::ConvergenceError when every strategy fails. `solver`, if
-/// given, carries the cached factorization across calls (one per circuit).
-/// `diag`, if given, accumulates the homotopy attempt log; on total failure
-/// the thrown error carries a copy with the failing node/device filled in.
-/// `budget`, if given, is checked inside every Newton solve; tripping it
-/// throws softfet::BudgetExceededError (never retried by batch drivers).
-int solve_dc(Circuit& circuit, const SimOptions& options, LoadContext& ctx,
-             std::vector<double>& x, numeric::LinearSolver* solver = nullptr,
-             SolverDiagnostics* diag = nullptr,
-             const util::BudgetTimer* budget = nullptr);
+/// The DC solve of one bias point: direct Newton, then gmin stepping, then
+/// source stepping, on the lane's OP entry (step_control.hpp); then
+/// re-solves until hysteretic devices' quasistatic state is self-consistent
+/// and initializes every device's state at the solution. `x` is the warm
+/// start in and the solution out; returns the first solve's Newton
+/// iterations. `solver` carries the cached factorization across calls (one
+/// per circuit). `diag`, if given, accumulates the homotopy attempt log.
+/// Throws softfet::ConvergenceError, carrying that log with the failing
+/// node and device filled in, when every homotopy fails, and
+/// softfet::BudgetExceededError when `budget` trips.
+int solve_dc(Circuit& circuit, const SimOptions& options,
+             std::vector<double>& x, numeric::LinearSolver& solver,
+             const util::BudgetTimer& budget,
+             SolverDiagnostics* diag = nullptr);
 
 /// Copy a LinearSolver's lifetime counters (analyses, refactors, fill
 /// ratio, Krylov work) into the diagnostics' plain mirror fields.

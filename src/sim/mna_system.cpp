@@ -11,7 +11,7 @@ MnaSystem::MnaSystem(Circuit& circuit, const SimOptions& options,
     : circuit_(circuit),
       context_(context),
       gmin_(options.gmin),
-      scales_{&options, circuit.node_count() - 1} {
+      voltage_unknowns_(circuit.node_count() - 1) {
   if (!circuit.prepared()) {
     throw InvalidCircuitError("MnaSystem: circuit not prepared");
   }
@@ -26,7 +26,7 @@ void MnaSystem::load(const std::vector<double>& x,
   for (const auto& device : circuit_.devices()) {
     device->load(x, stamper, context_);
   }
-  stamp_gmin_shunts(stamper, x, scales_.voltage_unknowns, gmin_);
+  stamp_gmin_shunts(stamper, x, voltage_unknowns_, gmin_);
 }
 
 void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
@@ -36,20 +36,6 @@ void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
     stamper.add_residual(unknown, gmin * x[i]);
     stamper.add_jacobian(unknown, unknown, gmin);
   }
-}
-
-double MnaSystem::abstol(std::size_t unknown) const {
-  return scales_.abstol(unknown);
-}
-
-double MnaSystem::max_step(std::size_t unknown) const {
-  return scales_.max_step(unknown);
-}
-
-std::string MnaSystem::unknown_label(std::size_t unknown) const {
-  const auto& labels = circuit_.unknown_labels();
-  if (unknown < labels.size()) return labels[unknown];
-  return NonlinearSystem::unknown_label(unknown);
 }
 
 std::string MnaSystem::blame_device(const std::vector<double>& x,

@@ -1,10 +1,12 @@
-// Bridges a Circuit to the generic Newton solver: gathers device stamps
-// into the MNA Jacobian/residual and supplies per-unknown tolerances.
+// The MNA view of a prepared Circuit: per-unknown Newton scales, the gmin
+// shunts, one whole load into a Jacobian and residual, and failure
+// attribution to a device.
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "numeric/newton.hpp"
+#include "numeric/sparse_matrix.hpp"
 #include "sim/circuit.hpp"
 #include "sim/options.hpp"
 #include "sim/stamper.hpp"
@@ -32,18 +34,18 @@ struct MnaScales {
 void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
                        std::size_t voltage_unknowns, double gmin);
 
-class MnaSystem final : public numeric::NonlinearSystem {
+class MnaSystem {
  public:
-  /// `circuit` must be prepared; `context` is shared with the analysis
-  /// driver which mutates time/dt/method between solves.
+  /// `circuit` must be prepared; `context` is the load context of every
+  /// load and attribution.
   MnaSystem(Circuit& circuit, const SimOptions& options, LoadContext& context);
 
-  [[nodiscard]] std::size_t size() const override;
+  [[nodiscard]] std::size_t size() const;
+  /// Every device's load at `x`, then the gmin shunts, into `jacobian` and
+  /// `residual` (both pre-zeroed by the caller). The engine loads through
+  /// the lane (step_control.hpp); perfbench/ times this one.
   void load(const std::vector<double>& x, numeric::SparseMatrix& jacobian,
-            std::vector<double>& residual) override;
-  [[nodiscard]] double abstol(std::size_t unknown) const override;
-  [[nodiscard]] double max_step(std::size_t unknown) const override;
-  [[nodiscard]] std::string unknown_label(std::size_t unknown) const override;
+            std::vector<double>& residual);
 
   /// Failure-path attribution: re-stamp each device in isolation at `x` and
   /// name the one contributing a non-finite entry anywhere, or failing that
@@ -52,14 +54,11 @@ class MnaSystem final : public numeric::NonlinearSystem {
   [[nodiscard]] std::string blame_device(const std::vector<double>& x,
                                          std::size_t unknown) const;
 
-  /// Shunt conductance to ground on every node (homotopy knob).
-  void set_gmin(double gmin) noexcept { gmin_ = gmin; }
-
  private:
   Circuit& circuit_;
   LoadContext& context_;
   double gmin_;
-  MnaScales scales_;
+  std::size_t voltage_unknowns_;
 };
 
 }  // namespace softfet::sim

@@ -1,11 +1,10 @@
-// DC operating point with gmin-stepping and source-stepping homotopies.
-#include <cmath>
-
+// DC operating point: the one-lane drive of the lane's OP entry (direct
+// Newton, then gmin stepping, then source stepping; step_control.hpp), plus
+// the quasistatic settle loop every DC bias point runs.
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
-#include "sim/mna_system.hpp"
+#include "sim/step_control.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace softfet::sim {
 
@@ -23,120 +22,61 @@ void fill_solver_stats(SolverDiagnostics& diag,
   diag.krylov_fallbacks = stats.krylov_fallbacks;
 }
 
-/// Shared by dc_operating_point / dc_sweep / run_transient. `x` carries the
-/// warm start in and the solution out. Returns Newton iterations used.
-int solve_dc(Circuit& circuit, const SimOptions& options, LoadContext& ctx,
-             std::vector<double>& x, numeric::LinearSolver* solver,
-             SolverDiagnostics* diag, const util::BudgetTimer* budget) {
-  MnaSystem system(circuit, options, ctx);
-  numeric::NewtonOptions nopt;
-  nopt.max_iterations = options.newton_max_iter;
-  nopt.reltol = options.reltol;
-  numeric::LinearSolver local_solver(options.solver_config());
-  nopt.solver_instance = solver != nullptr ? solver : &local_solver;
-  nopt.budget = budget;
-  int total_iterations = 0;
+namespace {
 
-  ctx.mode = AnalysisMode::kDcOp;
-  ctx.dt = 0.0;
-  ctx.source_scale = 1.0;
+/// One DC solve on the lane's OP entry from the warm start `x` (the
+/// solution out). Returns its Newton iterations; throws when the budget
+/// trips or every homotopy fails.
+int solve_once(Circuit& circuit, const SimOptions& options,
+               std::vector<double>& x, numeric::LinearSolver& solver,
+               const util::BudgetTimer& budget, SolverDiagnostics* diag) {
+  TranResult out;  // the lane's counters and attempt log
+  if (diag != nullptr) out.diagnostics = std::move(*diag);
+  out.diagnostics.analysis = "dc operating point";
+  out.diagnostics.determinism = to_string(options.determinism);
+  TransientLane lane(circuit, options, 0.0, out, budget);
+  lane.start_op(x);
+  drive(lane, solver);
+  if (lane.state() == TransientLane::State::kDone) {
+    if (diag != nullptr) *diag = std::move(out.diagnostics);
+    x.swap(lane.x_new);
+    return static_cast<int>(out.newton_iterations);
+  }
+  // A budget trip is not a homotopy failure: it blames no solve.
+  const bool truncated = lane.state() == TransientLane::State::kTruncated;
+  SolverDiagnostics d = truncated ? std::move(out.diagnostics)
+                                  : lane.failure_diagnostics();
+  if (truncated) {
+    d.failure = lane.failure();
+    d.total_iterations = static_cast<int>(out.newton_iterations);
+  }
+  if (diag == nullptr) d.attempts.clear();  // the caller keeps no log
+  fill_solver_stats(d, solver);
+  if (truncated) {
+    throw BudgetExceededError("dc operating point", lane.stop, std::move(d));
+  }
+  throw ConvergenceError("dc operating point", std::move(d));
+}
 
-  numeric::NewtonResult last;
-  std::vector<double> last_x;
-  const auto attempt = [&](std::vector<double>& guess) {
-    last = numeric::solve_newton(system, guess, nopt);
-    total_iterations += last.iterations;
-    if (last.failure == numeric::NewtonFailure::kBudgetExhausted) {
-      // Not a homotopy failure: stop the whole DC solve, skipping the
-      // remaining (expensive) rungs.
-      util::BudgetStop stop = budget != nullptr ? budget->check_now()
-                                                : util::BudgetStop::kNone;
-      if (stop == util::BudgetStop::kNone) stop = util::BudgetStop::kWallClock;
-      SolverDiagnostics d;
-      if (diag != nullptr) d = *diag;
-      d.analysis = "dc operating point";
-      d.determinism = to_string(options.determinism);
-      d.failure = std::string("run budget: ") + util::to_string(stop);
-      d.total_iterations = total_iterations;
-      fill_solver_stats(d, *nopt.solver_instance);
-      throw BudgetExceededError("dc operating point", stop, std::move(d));
-    }
-    if (!last.converged) last_x = guess;
-    return last.converged;
-  };
-  // Record a homotopy rung in the caller's diagnostics (when given).
-  const auto note = [&](const char* strategy, bool succeeded) {
-    if (diag != nullptr) {
-      diag->record_attempt({strategy, succeeded,
-                            succeeded ? ""
-                                      : numeric::to_string(last.failure)});
-    }
-  };
+}  // namespace
 
-  // 1. Direct Newton from the warm start. A clean solve records nothing:
-  // the attempt log is the history of escalations, not of routine work.
-  std::vector<double> trial = x;
-  if (attempt(trial)) {
-    x = trial;
-    return total_iterations;
-  }
-  note("direct_newton", false);
-
-  // 2. gmin stepping: start heavily regularized, relax decade by decade.
-  trial = x;
-  bool ok = true;
-  double g = 1e-2;
-  while (true) {
-    system.set_gmin(g);
-    if (!attempt(trial)) {
-      ok = false;
-      break;
+int solve_dc(Circuit& circuit, const SimOptions& options,
+             std::vector<double>& x, numeric::LinearSolver& solver,
+             const util::BudgetTimer& budget, SolverDiagnostics* diag) {
+  const int iterations = solve_once(circuit, options, x, solver, budget, diag);
+  // Hysteretic devices (PTM) may flip phase at this bias: re-solve until
+  // the (state, solution) pair is self-consistent.
+  constexpr int kMaxStateIterations = 20;
+  for (int i = 0; i < kMaxStateIterations; ++i) {
+    bool changed = false;
+    for (const auto& device : circuit.devices()) {
+      changed = device->update_quasistatic_state(x) || changed;
     }
-    if (g <= options.gmin * 1.001) break;
-    g = std::max(g / 10.0, options.gmin);
+    if (!changed) break;
+    (void)solve_once(circuit, options, x, solver, budget, diag);
   }
-  system.set_gmin(options.gmin);
-  note("gmin_stepping", ok);
-  if (ok) {
-    x = trial;
-    return total_iterations;
-  }
-  util::log_debug("dc: gmin stepping failed, trying source stepping");
-
-  // 3. Source stepping: ramp all independent sources from 0 to full value.
-  trial.assign(x.size(), 0.0);
-  ok = true;
-  for (int k = 1; k <= options.source_steps; ++k) {
-    ctx.source_scale =
-        static_cast<double>(k) / static_cast<double>(options.source_steps);
-    if (!attempt(trial)) {
-      ok = false;
-      break;
-    }
-  }
-  ctx.source_scale = 1.0;
-  note("source_stepping", ok);
-  if (!ok) {
-    SolverDiagnostics d;
-    if (diag != nullptr) d = *diag;
-    d.analysis = "dc operating point";
-    d.determinism = to_string(options.determinism);
-    d.failure = std::string("all homotopies failed (last: ") +
-                numeric::to_string(last.failure) + ")";
-    d.iterations = last.iterations;
-    d.total_iterations = total_iterations;
-    d.worst_residual = last.worst_residual;
-    d.iteration_trace = last.trace;
-    if (last.worst_unknown != numeric::kNoUnknown) {
-      d.worst_node = system.unknown_label(last.worst_unknown);
-      d.worst_device = system.blame_device(last_x, last.worst_unknown);
-    }
-    fill_solver_stats(d, *nopt.solver_instance);
-    if (diag != nullptr) *diag = d;
-    throw ConvergenceError("dc operating point", std::move(d));
-  }
-  x = trial;
-  return total_iterations;
+  for (const auto& device : circuit.devices()) device->init_state(x);
+  return iterations;
 }
 
 std::vector<std::string> signal_names(const Circuit& circuit) {
@@ -162,27 +102,12 @@ void sample_row_into(const Circuit& circuit, const std::vector<double>& x,
 
 OpResult dc_operating_point(Circuit& circuit, const SimOptions& options) {
   circuit.prepare();
-  LoadContext ctx;
   numeric::LinearSolver solver(options.solver_config());
   std::vector<double> x(circuit.unknown_count(), 0.0);
   SolverDiagnostics diag;
-  diag.analysis = "dc operating point";
-  diag.determinism = to_string(options.determinism);
   const util::BudgetTimer budget(options.budget);
   const int iterations =
-      detail::solve_dc(circuit, options, ctx, x, &solver, &diag, &budget);
-  // Let hysteretic devices settle their quasistatic state, re-solving until
-  // the (state, solution) pair is self-consistent.
-  constexpr int kMaxStateIterations = 20;
-  for (int i = 0; i < kMaxStateIterations; ++i) {
-    bool changed = false;
-    for (const auto& device : circuit.devices()) {
-      changed = device->update_quasistatic_state(x) || changed;
-    }
-    if (!changed) break;
-    detail::solve_dc(circuit, options, ctx, x, &solver, &diag, &budget);
-  }
-  for (const auto& device : circuit.devices()) device->init_state(x);
+      detail::solve_dc(circuit, options, x, solver, budget, &diag);
 
   OpResult result;
   result.x = std::move(x);

@@ -41,7 +41,6 @@ struct SimOptions {
   double gmin = 1e-12;  ///< node-to-ground shunt conductance [S]
 
   // --- DC operating point homotopy --------------------------------------
-  int gmin_steps = 10;    ///< decades of gmin stepping before giving up
   int source_steps = 20;  ///< source-stepping points in the fallback
 
   // --- Transient --------------------------------------------------------

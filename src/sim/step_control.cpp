@@ -6,6 +6,7 @@
 
 #include "sim/detail.hpp"
 #include "sim/mna_system.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace softfet::sim::detail {
@@ -14,9 +15,8 @@ namespace {
 
 constexpr double kEventBoundaryTolerance = 1e-9;  // relative to dt
 
-/// Divisor of the residual column in the iteration trace, as solve_newton.
-const double kTraceResidualScale =
-    std::max(1.0, numeric::NewtonOptions{}.residual_tol_scale);
+/// Divisor of the residual column in the iteration trace.
+constexpr double kTraceResidualScale = 1e3;
 
 /// Ratio of predictor-corrector mismatch to the acceptable local error;
 /// > 1 means the step was too optimistic. Only node voltages participate:
@@ -38,29 +38,68 @@ const double kTraceResidualScale =
 }  // namespace
 
 void TransientLane::start(std::vector<double> x0) {
-  x = std::move(x0);
-  t = 0.0;
-  has_prev = false;
-  force_backward_euler = true;  // first step
-  voltage_unknowns = circuit.node_count() - 1;
+  // The transient ladder: predictor reset, then a gmin ramp from
+  // recovery_gmin_start down by decades, then a per-step source ramp.
+  open({.timed = true,
+        .escalate_after = options.recovery_escalate_after,
+        .first_rung = Rung::kPredictorReset,
+        .names = {nullptr, "predictor_reset", "gmin_ramp", "source_ramp"},
+        .failed = "Newton failed at minimum timestep (",
+        .gmin_start = std::max(options.recovery_gmin_start, options.gmin),
+        .gmin_factor = 0.1,
+        .gmin_stop = options.gmin,
+        .source_steps = std::max(options.recovery_source_steps, 1)},
+       std::move(x0));
   sample_row_into(circuit, x, row);
   out.time.push_back(0.0);
   out.table.append_row(row);
   dtmax = options.dtmax > 0.0 ? options.dtmax : tstop / 200.0;
   dt = options.dt_initial > 0.0 ? options.dt_initial
                                 : std::min(tstop / 1e6, dtmax);
-  jacobian.reset(x.size());
-  residual.assign(x.size(), 0.0);
-  dx.assign(x.size(), 0.0);
   begin_step();
 }
 
+void TransientLane::start_op(std::vector<double> guess) {
+  // The operating point's homotopy: direct Newton, then gmin stepping from
+  // 1e-2 down by decades, then source stepping from a zero guess. Every
+  // main-solve failure escalates: there is no dt to shrink (a fresh lane's
+  // dt and ctx are the DC ones: dt = 0, kDcOp, full sources).
+  open({.timed = false,
+        .escalate_after = 1,
+        .first_rung = Rung::kGminRamp,
+        .names = {"direct_newton", nullptr, "gmin_stepping", "source_stepping"},
+        .failed = "all homotopies failed (last: ",
+        .gmin_start = 1e-2,
+        .gmin_divisor = 10.0,
+        .gmin_stop = options.gmin * 1.001,
+        .source_steps = std::max(options.source_steps, 1),
+        .source_from_zero = true},
+       std::move(guess));
+  x_new = x;
+  begin_solve();
+}
+
+void TransientLane::open(const Ladder& entry, std::vector<double> x0) {
+  ladder = entry;
+  x = std::move(x0);
+  voltage_unknowns = circuit.node_count() - 1;
+  jacobian.reset(x.size());
+  residual.assign(x.size(), 0.0);
+  dx.assign(x.size(), 0.0);
+}
+
+void TransientLane::begin_solve() {
+  iterations = 0;
+  if (!reports()) return;
+  record.iterations = 0;
+  record.failure = numeric::NewtonFailure::kNone;
+  record.worst_unknown = numeric::kNoUnknown;
+  record.worst_residual = 0.0;
+  record.trace.clear();  // keeps its capacity for the next solve
+}
+
 void TransientLane::begin_step() {
-  main.iterations = 0;
-  main.failure = numeric::NewtonFailure::kNone;
-  main.worst_unknown = numeric::kNoUnknown;
-  main.worst_residual = 0.0;
-  main.trace.clear();  // keeps its capacity for the next solve
+  begin_solve();
   if (!(t < tstop * (1.0 - 1e-12))) {
     state_ = State::kDone;
     return;
@@ -116,7 +155,6 @@ void TransientLane::begin_step() {
     }
   }
   x_new = x_pred;
-  iterations = 0;
 }
 
 bool TransientLane::begin_iteration() {
@@ -125,22 +163,16 @@ bool TransientLane::begin_iteration() {
       solve_failed(numeric::kNoUnknown, numeric::NewtonFailure::kMaxIterations);
       continue;
     }
-    // A budget trip cuts a main solve short and truncates the run; inside
-    // a ladder rung it only fails that rung's solve.
-    if (const util::BudgetStop now = budget.check_now();
-        now != util::BudgetStop::kNone) {
-      if (rung == Rung::kMain) {
-        main.failure = numeric::NewtonFailure::kBudgetExhausted;
-        stop = now;
-        state_ = State::kTruncated;
-        return false;
-      }
-      fail(numeric::NewtonFailure::kBudgetExhausted, numeric::kNoUnknown, 0.0);
-      continue;
+    // A budget trip cuts the solve short, rung or not, and truncates.
+    stop = budget.check_now();
+    if (stop != util::BudgetStop::kNone) {
+      leave_rung();
+      state_ = State::kTruncated;
+      return false;
     }
     ++iterations;
     ++out.newton_iterations;
-    if (rung == Rung::kMain) main.iterations = iterations;
+    if (reports()) record.iterations = iterations;
     jacobian.begin_load();
     std::fill(residual.begin(), residual.end(), 0.0);
     return true;
@@ -175,16 +207,16 @@ void TransientLane::update() {
   }
   const bool dx_converged = numeric::apply_newton_update(
       x_new, dx, options.reltol, MnaScales{&options, voltage_unknowns});
-  if (rung == Rung::kMain) {
+  if (reports()) {
     // Division by a positive constant is monotone, so scaling the largest
-    // |F| equals solve_newton's largest scaled |F| bit for bit.
+    // |F| equals the largest scaled |F| bit for bit.
     double max_dx = 0.0;
     double max_residual = 0.0;
     for (std::size_t i = 0; i < dx.size(); ++i) {
       max_dx = std::max(max_dx, std::fabs(dx[i]));
       max_residual = std::max(max_residual, std::fabs(residual[i]));
     }
-    main.trace.push_back({max_dx, max_residual / kTraceResidualScale});
+    record.trace.push_back({max_dx, max_residual / kTraceResidualScale});
   }
   if (dx_converged) converged();
 }
@@ -211,22 +243,27 @@ void TransientLane::solve_failed(std::size_t column,
 
 void TransientLane::fail(numeric::NewtonFailure failure, std::size_t unknown,
                          double worst_residual) {
+  if (reports()) {
+    record.failure = failure;
+    record.worst_unknown = unknown;
+    record.worst_residual = worst_residual;
+  }
   if (rung != Rung::kMain) {
     end_rung(false);
     return;
   }
-  main.failure = failure;
-  main.worst_unknown = unknown;
-  main.worst_residual = worst_residual;
+  if (const char* name = ladder.names[0]) {
+    out.diagnostics.record_attempt({name, false, numeric::to_string(failure)});
+  }
   ++out.rejected_steps;
   ++consecutive_rejects;
   ++newton_failures;
   const bool at_min = dt <= options.dtmin * 1.0001;
-  if (options.recovery_escalate_after > 0 &&
-      (newton_failures == options.recovery_escalate_after ||
+  if (ladder.escalate_after > 0 &&
+      (newton_failures == ladder.escalate_after ||
        (at_min && !escalated_at_min))) {
     if (at_min) escalated_at_min = true;
-    start_rung(Rung::kPredictorReset);
+    start_rung(ladder.first_rung);
     return;
   }
   shrink_or_stop();
@@ -241,7 +278,7 @@ void TransientLane::shrink_or_stop() {
     return;
   }
   if (dt <= options.dtmin * 1.0001) {
-    state_ = State::kFailedAtMin;
+    state_ = State::kFailed;
     return;
   }
   pending_shrinks.push_back(note_attempt("dt_shrink"));
@@ -251,63 +288,76 @@ void TransientLane::shrink_or_stop() {
 }
 
 // Escalated recovery: backward-Euler solves at the current dt, each rung
-// restarting from the last accepted state instead of the (possibly wild)
-// extrapolated predictor.
+// restarting from the last accepted state (a transient's, instead of the
+// possibly wild extrapolated predictor; an operating point's warm start).
 void TransientLane::start_rung(Rung next) {
-  static constexpr const char* kNames[] = {"", "predictor_reset", "gmin_ramp",
-                                           "source_ramp"};
   rung = next;
-  rung_attempt = note_attempt(kNames[static_cast<int>(next)]);
   x_new = x;
   if (next == Rung::kGminRamp) {
     // Solve under a strong node-to-ground shunt, then walk it back down in
     // decades to the configured floor.
-    gmin = std::max(options.recovery_gmin_start, options.gmin);
+    gmin = ladder.gmin_start;
   } else if (next == Rung::kSourceRamp) {
-    // Continuation from weak drive back up to the full sources at this
-    // timepoint.
+    // Continuation from weak drive up to the full sources.
+    if (ladder.source_from_zero) x_new.assign(x.size(), 0.0);
     source_step = 1;
-    ctx.source_scale = 1.0 / std::max(options.recovery_source_steps, 1);
+    ctx.source_scale = 1.0 / ladder.source_steps;
   }
   ctx.method = IntegrationMethod::kBackwardEuler;
-  iterations = 0;
+  begin_solve();
 }
 
 void TransientLane::converged() {
   if (rung == Rung::kMain) {
-    accept_or_cut(main.iterations, false);
-    begin_step();
+    finish_solve(false);
     return;
   }
-  const int source_steps = std::max(options.recovery_source_steps, 1);
-  if (rung == Rung::kGminRamp && gmin > options.gmin) {
-    gmin = std::max(gmin * 0.1, options.gmin);
-  } else if (rung == Rung::kSourceRamp && source_step < source_steps) {
+  if (rung == Rung::kGminRamp && !(gmin <= ladder.gmin_stop)) {
+    gmin = std::max(gmin * ladder.gmin_factor / ladder.gmin_divisor,
+                    options.gmin);
+  } else if (rung == Rung::kSourceRamp && source_step < ladder.source_steps) {
     ++source_step;
-    ctx.source_scale = static_cast<double>(source_step) / source_steps;
+    ctx.source_scale = static_cast<double>(source_step) / ladder.source_steps;
   } else {
     end_rung(true);
     return;
   }
-  iterations = 0;  // the rung's next solve continues from this iterate
+  begin_solve();  // the rung's next solve continues from this iterate
+}
+
+void TransientLane::finish_solve(bool recovered) {
+  if (!ladder.timed) {
+    state_ = State::kDone;
+    return;
+  }
+  // A recovered step reports the failed main solve's iteration count.
+  accept_or_cut(record.iterations, recovered);
+  begin_step();
 }
 
 void TransientLane::end_rung(bool ok) {
   const Rung ended = rung;
-  gmin = options.gmin;
-  ctx.source_scale = 1.0;
+  if (const char* name = ladder.names[static_cast<int>(ended)]) {
+    out.diagnostics.record_attempt(
+        {name, ok,
+         ladder.timed ? step_detail()
+         : ok         ? ""
+                      : numeric::to_string(record.failure)});
+  }
+  leave_rung();
   if (ok) {
-    mark_succeeded(rung_attempt);
-    rung = Rung::kMain;
-    // Reported with the failed main solve's iteration count.
-    accept_or_cut(main.iterations, true);
-    begin_step();
+    finish_solve(true);
   } else if (ended != Rung::kSourceRamp) {
     start_rung(static_cast<Rung>(static_cast<int>(ended) + 1));
   } else {
-    rung = Rung::kMain;
     shrink_or_stop();
   }
+}
+
+void TransientLane::leave_rung() {
+  rung = Rung::kMain;
+  gmin = options.gmin;
+  ctx.source_scale = 1.0;
 }
 
 void TransientLane::accept_or_cut(int solve_iterations, bool recovered) {
@@ -392,8 +442,8 @@ std::string TransientLane::failure() const {
     return std::string("run budget: ") + util::to_string(stop);
   }
   if (state_ == State::kStepLimit) return "step budget exhausted";
-  return std::string("Newton failed at minimum timestep (") +
-         numeric::to_string(main.failure) + ")";
+  return ladder.failed + std::string(numeric::to_string(record.failure)) +
+         ")";
 }
 
 SolverDiagnostics TransientLane::failure_diagnostics() {
@@ -401,25 +451,27 @@ SolverDiagnostics TransientLane::failure_diagnostics() {
   d.failure = failure();
   d.time = t;
   d.last_dt = dt;
-  d.iterations = main.iterations;
+  d.iterations = record.iterations;
   d.total_iterations = static_cast<int>(out.newton_iterations);
-  d.worst_residual = main.worst_residual;
-  d.iteration_trace = main.trace;
-  if (main.worst_unknown != numeric::kNoUnknown) {
-    const MnaSystem system(circuit, options, ctx);
-    d.worst_node = system.unknown_label(main.worst_unknown);
-    d.worst_device = system.blame_device(
-        state_ == State::kFailedAtMin ? x_new : x, main.worst_unknown);
+  d.worst_residual = record.worst_residual;
+  d.iteration_trace = record.trace;
+  if (record.worst_unknown != numeric::kNoUnknown) {
+    d.worst_node = circuit.unknown_labels()[record.worst_unknown];
+    d.worst_device = MnaSystem(circuit, options, ctx).blame_device(
+        state_ == State::kFailed ? x_new : x, record.worst_unknown);
   }
   return d;
+}
+
+std::string TransientLane::step_detail() const {
+  return "t=" + util::format_si(t, 4, "s") +
+         " dt=" + util::format_si(dt, 3, "s");
 }
 
 int TransientLane::note_attempt(const char* strategy) {
   SolverDiagnostics& diag = out.diagnostics;
   const std::size_t before = diag.attempts.size();
-  diag.record_attempt({strategy, false,
-                       "t=" + util::format_si(t, 4, "s") +
-                           " dt=" + util::format_si(dt, 3, "s")});
+  diag.record_attempt({strategy, false, step_detail()});
   return diag.attempts.size() > before ? static_cast<int>(before) : -1;
 }
 
@@ -427,6 +479,26 @@ void TransientLane::mark_succeeded(int attempt) {
   if (attempt >= 0) {
     out.diagnostics.attempts[static_cast<std::size_t>(attempt)].succeeded =
         true;
+  }
+}
+
+void drive(TransientLane& lane, numeric::LinearSolver& solver) {
+  std::vector<double> rhs(lane.residual.size());
+  while (lane.begin_iteration()) {
+    lane.load_devices();
+    (void)lane.end_load();  // a departed load still sums exactly
+    if (!lane.residual_finite()) continue;
+    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = -lane.residual[i];
+    try {
+      lane.dx = solver.solve(lane.jacobian, rhs);
+    } catch (const SingularMatrixError& e) {
+      lane.solve_failed(e.column());
+      continue;
+    } catch (const ConvergenceError&) {
+      lane.solve_failed();
+      continue;
+    }
+    lane.update();
   }
 }
 

@@ -1,16 +1,16 @@
-// Adaptive-timestep transient analysis: the one-lane drive of the transient
-// engine (detail::TransientLane, step_control.hpp).
+// Adaptive-timestep transient analysis: the one-lane drive of the lane's
+// transient entry (detail::TransientLane, step_control.hpp).
 //
 // The lane holds the whole method — backward Euler on the first step and
 // after discrete device events, trapezoidal otherwise; a linear-
 // extrapolation predictor that doubles as the Newton initial guess and the
 // local-truncation-error estimate; source breakpoints landed exactly; steps
 // cut at device event times; and the recovery ladder on Newton failure.
-// This driver runs the operating point, then loops lane iterations over one
-// LinearSolver (dense, sparse or Krylov, per SimOptions), and maps how the
-// lane ended to a result: complete, truncated by the run budget (the
-// partial waveform kept), or a ConvergenceError carrying the failing node,
-// device and iteration trace.
+// run_transient runs the operating point (the same lane's OP entry), then
+// drives the lane over one LinearSolver (dense, sparse or Krylov, per
+// SimOptions), and maps how the lane ended to a result: complete, truncated
+// by the run budget (the partial waveform kept), or a ConvergenceError
+// carrying the failing node, device and iteration trace.
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
 #include "sim/step_control.hpp"
@@ -52,23 +52,7 @@ TranResult run_transient(Circuit& circuit, double tstop,
   // One solver for the whole transient: the MNA pattern is fixed, so every
   // step after the first reuses the symbolic analysis and pivot order.
   numeric::LinearSolver solver(options.solver_config());
-  std::vector<double> rhs(lane.residual.size());
-  while (lane.begin_iteration()) {
-    lane.load_devices();
-    (void)lane.end_load();  // a departed load still sums exactly
-    if (!lane.residual_finite()) continue;
-    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = -lane.residual[i];
-    try {
-      lane.dx = solver.solve(lane.jacobian, rhs);
-    } catch (const SingularMatrixError& e) {
-      lane.solve_failed(e.column());
-      continue;
-    } catch (const ConvergenceError&) {
-      lane.solve_failed();
-      continue;
-    }
-    lane.update();
-  }
+  detail::drive(lane, solver);
 
   using State = detail::TransientLane::State;
   if (lane.state() == State::kDone) {

@@ -15,10 +15,6 @@ void SolverDiagnostics::record_attempt(RecoveryAttempt attempt) {
   attempts.push_back(std::move(attempt));
 }
 
-void SolverDiagnostics::mark_last_attempt_succeeded() {
-  if (!attempts.empty()) attempts.back().succeeded = true;
-}
-
 std::string SolverDiagnostics::summary() const {
   std::string out = analysis.empty() ? "solver" : analysis;
   out += ": ";

@@ -79,9 +79,6 @@ struct SolverDiagnostics {
   /// Record an attempt, bounded so pathological runs cannot grow unbounded.
   void record_attempt(RecoveryAttempt attempt);
 
-  /// Mark the most recently recorded attempt as having succeeded.
-  void mark_last_attempt_succeeded();
-
   /// One-line human-readable report with engineering-notation time/units,
   /// e.g. "transient: newton max iterations at t=1.2ns (dt=40fs, 150
   /// iterations), worst residual 3.2mA at v(out) (device MN1), 4 recovery

@@ -39,6 +39,9 @@
 #include <string>
 #include <vector>
 
+#include "devices/capacitor.hpp"
+#include "devices/resistor.hpp"
+#include "devices/sources.hpp"
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "util/strings.hpp"
@@ -211,5 +214,33 @@ class FaultDevice final : public sim::Device {
   int branch_ = sim::kGround;
   int injected_ = 0;
 };
+
+/// Ramp-driven RC bench with a FaultDevice attached to the output node
+/// (named `out_name`). The input ramps 0 -> 1 V between 100 ps and 130 ps;
+/// faults are armed in [200 ps, 1 ns] unless the caller overrides the
+/// window (a window holding t = 0 arms them for DC solves).
+struct FaultBench {
+  sim::Circuit circuit;
+  FaultDevice* fault = nullptr;
+};
+
+inline FaultBench make_fault_bench(FaultMode mode, int budget,
+                                   double t_start = 200e-12,
+                                   double t_end = 1e-9,
+                                   double storm_dt = 10e-12,
+                                   const std::string& out_name = "out") {
+  namespace sd = devices;
+  FaultBench bench;
+  auto& c = bench.circuit;
+  const auto in = c.node("in");
+  const auto out = c.node(out_name);
+  c.add<sd::VSource>("Vin", in, sim::kGroundNode,
+                     sd::SourceSpec::ramp(0.0, 1.0, 100e-12, 30e-12));
+  c.add<sd::Resistor>("R1", in, out, 1e3);
+  c.add<sd::Capacitor>("C1", out, sim::kGroundNode, 1e-15);
+  bench.fault =
+      c.add<FaultDevice>("FLT1", out, mode, t_start, t_end, budget, storm_dt);
+  return bench;
+}
 
 }  // namespace softfet::testing

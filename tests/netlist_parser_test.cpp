@@ -93,6 +93,17 @@ TEST(NetlistParser, DcPointsExpansion) {
   ASSERT_EQ(down.size(), 5u);
   EXPECT_DOUBLE_EQ(down[0], 1.0);
   EXPECT_DOUBLE_EQ(down[4], 0.0);
+  // Under the point cap a parsed sweep keeps every point, each the
+  // accumulated sum bit for bit.
+  const auto ast = nl::parse("t\n.dc V1 0 1 2u\n.ac dec 1000 1 1e6\n");
+  ASSERT_TRUE(ast.dc.has_value());
+  const auto fine = ast.dc->points();
+  ASSERT_EQ(fine.size(), 500001u);
+  double v = 0.0;
+  for (std::size_t i = 1; i < fine.size(); ++i) v += 2e-6;
+  EXPECT_EQ(fine.back(), v);
+  ASSERT_TRUE(ast.ac.has_value());
+  EXPECT_EQ(ast.ac->frequencies().size(), 6001u);
 }
 
 TEST(NetlistParser, SubcktCapture) {
@@ -156,4 +167,41 @@ TEST(NetlistParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW((void)nl::parse("+continuation first\n"), softfet::ParseError);
   EXPECT_THROW((void)nl::parse(".bogus\n"), softfet::ParseError);
   EXPECT_THROW((void)nl::parse("t\nR1 a 0 {1k\n"), softfet::ParseError);
+}
+
+namespace {
+
+/// The line a sweep card's ParseError points at (0: it parsed).
+int rejected_at_line(const std::string& card) {
+  try {
+    (void)nl::parse("t\nR1 a 0 1k\n" + card + "\n");
+  } catch (const softfet::ParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+}  // namespace
+
+TEST(NetlistParser, DcStepTooFineForThePointCapIsRejected) {
+  EXPECT_EQ(rejected_at_line(".dc V1 0 1 1e-300"), 3);
+}
+
+TEST(NetlistParser, DcStepLostToRoundingIsRejected) {
+  // 1e20 + 1 == 1e20: the sweep would never advance.
+  EXPECT_EQ(rejected_at_line(".dc V1 1e20 2e20 1"), 3);
+}
+
+TEST(NetlistParser, DcNonFiniteBoundIsRejected) {
+  EXPECT_EQ(rejected_at_line(".dc V1 0 1e400 1"), 3);
+}
+
+TEST(NetlistParser, AcNonFiniteStopIsRejected) {
+  EXPECT_EQ(rejected_at_line(".ac dec 10 1 1e400"), 3);
+}
+
+TEST(NetlistParser, AcPointsOutOfIntRangeAreRejected) {
+  EXPECT_EQ(rejected_at_line(".ac lin 1e300 1 10"), 3);
+  EXPECT_EQ(rejected_at_line(".ac lin 2.5 1 10"), 3);
+  EXPECT_EQ(rejected_at_line(".ac dec 0 1 10"), 3);
 }

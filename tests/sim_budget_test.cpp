@@ -3,7 +3,9 @@
 // throwing, and every limit reports the right BudgetStop.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <vector>
 
 #include "devices/capacitor.hpp"
 #include "devices/resistor.hpp"
@@ -39,6 +41,18 @@ ss::Circuit make_bench(double storm_dt = 0.0) {
   }
   return c;
 }
+
+/// Counts its loads and stamps nothing.
+class LoadCounter final : public ss::Device {
+ public:
+  LoadCounter() : Device("CNT") {}
+  void setup(ss::Circuit& /*circuit*/) override {}
+  void load(const std::vector<double>& /*x*/, ss::Stamper& /*stamper*/,
+            const ss::LoadContext& /*ctx*/) override {
+    ++loads;
+  }
+  int loads = 0;
+};
 
 }  // namespace
 
@@ -132,4 +146,42 @@ TEST(Budget, ResultStaysDeterministicUnderStepCap) {
   for (std::size_t i = 0; i < capped.time.size(); ++i) {
     EXPECT_EQ(capped.time[i], full.time[i]) << "index " << i;
   }
+}
+
+TEST(Budget, PreTrippedCancelStopsDcSweepBeforeFirstPoint) {
+  auto c = make_bench();
+  const LoadCounter* counter = c.add<LoadCounter>();
+  su::CancelToken token;
+  token.request();
+  ss::SimOptions options;
+  options.budget.cancel = &token;
+  try {
+    (void)ss::dc_sweep(c, "Vin", {0.0, 0.5, 1.0}, options);
+    FAIL() << "expected BudgetExceededError";
+  } catch (const softfet::BudgetExceededError& e) {
+    EXPECT_EQ(e.stop(), su::BudgetStop::kCancel);
+  }
+  EXPECT_EQ(counter->loads, 0);  // no point was solved
+}
+
+TEST(Budget, WallClockBoundsALongDcSweep) {
+  // A million bias points take seconds; the wall-clock budget must stop
+  // the sweep within a small multiple of its limit.
+  auto c = make_bench();
+  std::vector<double> values(1'000'000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i) * 1e-6;
+  }
+  ss::SimOptions options;
+  options.budget.max_wall_seconds = 0.05;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)ss::dc_sweep(c, "Vin", values, options);
+    FAIL() << "expected BudgetExceededError";
+  } catch (const softfet::BudgetExceededError& e) {
+    EXPECT_EQ(e.stop(), su::BudgetStop::kWallClock);
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 1.0);
 }

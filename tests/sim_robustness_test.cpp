@@ -23,34 +23,10 @@ namespace sd = softfet::devices;
 namespace ss = softfet::sim;
 namespace t40 = softfet::devices::tech40;
 using softfet::measure::Waveform;
-using softfet::testing::FaultDevice;
 using softfet::testing::FaultMode;
+using softfet::testing::make_fault_bench;
 
 namespace {
-
-/// Ramp-driven RC bench with a FaultDevice attached to the output node.
-/// The input ramps 0 -> 1 V between 100 ps and 130 ps; faults are armed in
-/// [200 ps, 1 ns] unless the caller overrides the window.
-struct FaultBench {
-  ss::Circuit circuit;
-  FaultDevice* fault = nullptr;
-};
-
-FaultBench make_fault_bench(FaultMode mode, int budget,
-                            double t_start = 200e-12, double t_end = 1e-9,
-                            double storm_dt = 10e-12) {
-  FaultBench bench;
-  auto& c = bench.circuit;
-  const auto in = c.node("in");
-  const auto out = c.node("out");
-  c.add<sd::VSource>("Vin", in, ss::kGroundNode,
-                     sd::SourceSpec::ramp(0.0, 1.0, 100e-12, 30e-12));
-  c.add<sd::Resistor>("R1", in, out, 1e3);
-  c.add<sd::Capacitor>("C1", out, ss::kGroundNode, 1e-15);
-  bench.fault =
-      c.add<FaultDevice>("FLT1", out, mode, t_start, t_end, budget, storm_dt);
-  return bench;
-}
 
 /// Attempts whose strategy matches `strategy`, optionally only successes.
 int count_attempts(const softfet::SolverDiagnostics& diag,
