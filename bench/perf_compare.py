@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
-"""Compare two google-benchmark JSON snapshots and fail on regression.
+"""Compare perfbench on two checkouts on one machine and fail on regression.
 
 Usage:
-    perf_compare.py BASELINE.json CANDIDATE.json [--max-regression 0.25]
+    perf_compare.py --base ROOT --head ROOT [--pairs 5] [--seconds 5]
 
-Benchmarks are matched by name; names present in only one file are warned
-about and skipped, never failed (new benchmarks appear before the baseline
-snapshot catches up, old ones retire). A matched benchmark regresses when
-its candidate real_time exceeds the baseline by more than --max-regression
-(fractional, default 0.25 = 25% slower). Exit status is 1 when any matched
-benchmark regresses, 0 otherwise.
+For each workload in the head's BENCHMARK.json, runs --pairs pairs of
 
-When GITHUB_STEP_SUMMARY is set (GitHub Actions), a markdown table of the
-comparison plus the skipped-benchmark lists is appended to the job summary.
+    python3 <root>/perfbench/run.py --workload W --seed 1 --seconds S --trace 0
 
-The threshold is deliberately loose: CI runners are noisy shared machines,
-and the point is to catch order-of-magnitude mistakes (a cache accidentally
-disabled, a map lookup back on the hot path), not 5% wobble.
+once on the base checkout and once on the head checkout, alternating which
+side runs first so a drift in machine speed hits both, and reads the last
+JSON line of each run. Each side builds its own perfbench tree on its first
+run.
+
+Exit status is 1 when
+  - a head run reports "correct": false, or the head's failed/attempted
+    share of a workload is larger than the base's;
+  - a head median is worse than the base median by more than the metric's
+    relative `bound` in the head's BENCHMARK.json (0.25 = 25 %).
+A metric whose base runs spread (interquartile range over median) wider
+than its bound cannot be judged at this many pairs: unless every head run
+reads better than every base run, it is printed as "unresolved" and does
+not fail.
 """
 
 from __future__ import annotations
@@ -24,114 +29,129 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 
+RUN_TIMEOUT_S = 1800  # the first run of each side also builds perfbench
 
-def load_benchmarks(path: str) -> dict[str, dict]:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    out: dict[str, dict] = {}
-    for bench in data.get("benchmarks", []):
-        # Aggregate rows (mean/median/stddev from --benchmark_repetitions)
-        # would double-count; keep only plain iteration rows.
-        if bench.get("run_type", "iteration") != "iteration":
+
+def run_perfbench(root: str, workload: str, seconds: float) -> dict:
+    """One perfbench run; returns its result line."""
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
+           "--workload", workload, "--seed", "1", "--seconds", f"{seconds:g}",
+           "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr[-4000:])
+        raise RuntimeError(f"{root}: {workload} printed no result line "
+                           f"(exit {proc.returncode})") from None
+
+
+def failed_share(runs: list[dict]) -> float:
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def quartile_spread(values: list[float]) -> float:
+    """Interquartile range relative to the median."""
+    if len(values) < 2:
+        return 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / median if median else float("inf")
+
+
+def compare(workload: str, base: list[dict], head: list[dict],
+            metrics: list[dict]) -> list[str]:
+    """Prints the workload's table; returns its failures."""
+    failures = [f"{workload}: head run {i + 1} reports correct: false"
+                for i, r in enumerate(head) if not r["correct"]]
+    for i, r in enumerate(base):
+        if not r["correct"]:
+            print(f"warning: {workload}: base run {i + 1} reports correct: false")
+    base_share, head_share = failed_share(base), failed_share(head)
+    if head_share > base_share:
+        failures.append(f"{workload}: failed share {head_share:.4f} > "
+                        f"base {base_share:.4f}")
+
+    print(f"\n{workload}: failed share base {base_share:.4f}, "
+          f"head {head_share:.4f}")
+    print(f"  {'metric':12s} {'base':>11s} {'head':>11s} {'change':>8s} "
+          f"{'base iqr':>9s} {'bound':>6s}  verdict")
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
+        # An incorrect run reports no metrics.
+        b = [r["metrics"][name]["value"] for r in base if name in r["metrics"]]
+        h = [r["metrics"][name]["value"] for r in head if name in r["metrics"]]
+        if not b or not h:
+            print(f"  {name:12s} not reported by {'head' if b else 'base'}")
             continue
-        out[bench["name"]] = bench
-    return out
+        bmed, hmed = statistics.median(b), statistics.median(h)
+        change = (hmed - bmed) / bmed if bmed else 0.0
+        worse = change if m["better"] == "lower" else -change
+        all_better = (max(h) < min(b) if m["better"] == "lower"
+                      else min(h) > max(b))
+        spread = quartile_spread(b)
+        if spread > bound and not all_better:
+            verdict = "unresolved"
+        elif worse > bound:
+            verdict = "REGRESSION"
+            failures.append(f"{workload}: {name} {change:+.1%} "
+                            f"(bound {bound:.0%})")
+        else:
+            verdict = "ok"
+        print(f"  {name:12s} {bmed:11.4g} {hmed:11.4g} {change:+8.1%} "
+              f"{spread:9.1%} {bound:6.0%}  {verdict}")
+    return failures
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="committed baseline JSON")
-    parser.add_argument("candidate", help="freshly measured JSON")
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fractional real_time increase (default 0.25)",
-    )
+    parser.add_argument("--base", required=True, help="base checkout root")
+    parser.add_argument("--head", required=True, help="head checkout root")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=5)
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
-    base = load_benchmarks(args.baseline)
-    cand = load_benchmarks(args.candidate)
+    with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
 
-    matched = sorted(set(base) & set(cand))
-    only_base = sorted(set(base) - set(cand))
-    only_cand = sorted(set(cand) - set(base))
+    failures = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = {"base": [], "head": []}
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for side in order:
+                root = args.base if side == "base" else args.head
+                run = run_perfbench(root, workload, args.seconds)
+                runs[side].append(run)
+                values = " ".join(f"{name}={m['value']:.4g}"
+                                  for name, m in run["metrics"].items())
+                print(f"{workload} pair {pair + 1}/{args.pairs} {side}: "
+                      f"correct={run['correct']} failed={run['failed']}/"
+                      f"{run['attempted']} {values}", flush=True)
+        failures += compare(workload, runs["base"], runs["head"],
+                            spec["end_to_end"])
 
-    if not matched:
-        print("error: no benchmark names in common", file=sys.stderr)
+    if failures:
+        print("\nFAIL:")
+        for f in failures:
+            print("  " + f)
         return 1
-
-    regressions = []
-    rows = []
-    print(f"{'benchmark':46s} {'baseline':>12s} {'candidate':>12s} {'ratio':>8s}")
-    for name in matched:
-        b, c = base[name], cand[name]
-        if b.get("time_unit") != c.get("time_unit"):
-            print(f"error: {name}: time_unit changed", file=sys.stderr)
-            return 1
-        ratio = c["real_time"] / b["real_time"] if b["real_time"] > 0 else float("inf")
-        flag = ""
-        if ratio > 1.0 + args.max_regression:
-            regressions.append((name, ratio))
-            flag = "  <-- REGRESSION"
-        unit = b.get("time_unit", "ns")
-        rows.append((name, b["real_time"], c["real_time"], ratio, unit, bool(flag)))
-        print(
-            f"{name:46s} {b['real_time']:12.1f} {c['real_time']:12.1f} "
-            f"{ratio:7.2f}x{flag} ({unit})"
-        )
-
-    # A benchmark present in only one snapshot cannot be compared: warn and
-    # skip rather than fail, so a PR that adds benchmarks does not have to
-    # regenerate the committed baseline in the same change.
-    for name in only_base:
-        print(f"warning: skipping {name}: only in baseline (retired?)")
-    for name in only_cand:
-        print(
-            f"warning: skipping {name}: not in baseline (new benchmark; "
-            "will be compared once a baseline snapshot includes it)"
-        )
-
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a", encoding="utf-8") as handle:
-            handle.write("### Benchmark comparison\n\n")
-            handle.write("| benchmark | baseline | candidate | ratio |\n")
-            handle.write("| --- | ---: | ---: | ---: |\n")
-            for name, bt, ct, ratio, unit, bad in rows:
-                mark = " :warning: **REGRESSION**" if bad else ""
-                handle.write(
-                    f"| `{name}` | {bt:.1f} {unit} | {ct:.1f} {unit} | "
-                    f"{ratio:.2f}x{mark} |\n"
-                )
-            if only_cand:
-                handle.write(
-                    "\n**Skipped (new, not in baseline yet):** "
-                    + ", ".join(f"`{n}`" for n in only_cand)
-                    + "\n"
-                )
-            if only_base:
-                handle.write(
-                    "\n**Skipped (only in baseline, retired?):** "
-                    + ", ".join(f"`{n}`" for n in only_base)
-                    + "\n"
-                )
-
-    if regressions:
-        worst = max(regressions, key=lambda r: r[1])
-        print(
-            f"\nFAIL: {len(regressions)} benchmark(s) slower than "
-            f"{1.0 + args.max_regression:.2f}x baseline "
-            f"(worst: {worst[0]} at {worst[1]:.2f}x)",
-            file=sys.stderr,
-        )
-        return 1
-
-    print(f"\nOK: {len(matched)} benchmarks within {1.0 + args.max_regression:.2f}x")
+    print(f"\nOK: head within every bound over {args.pairs} pairs")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (OSError, subprocess.SubprocessError, RuntimeError,
+            ValueError, KeyError) as error:
+        print(f"perf_compare: {error}", file=sys.stderr)
+        sys.exit(1)

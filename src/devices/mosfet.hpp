@@ -100,7 +100,6 @@ class Mosfet final : public sim::Device {
 
   [[nodiscard]] const MosfetModel& model() const noexcept { return model_; }
   [[nodiscard]] const MosfetDims& dims() const noexcept { return dims_; }
-  void set_model(const MosfetModel& model) { model_ = model; }
 
   /// Total gate input capacitance (cgs + cgd) — handy for sizing loads.
   [[nodiscard]] double gate_capacitance() const noexcept;

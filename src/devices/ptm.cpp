@@ -33,7 +33,8 @@ Ptm::Ptm(std::string name, sim::NodeId p, sim::NodeId n,
          const PtmParams& params)
     : Device(std::move(name)), p_(p), n_(n), params_(params) {
   params_.validate();
-  cache_log_resistances();
+  log_r_ins_ = std::log(params_.r_ins);
+  log_r_met_ = std::log(params_.r_met);
   const std::string lname = util::to_lower(this->name());
   probe_i_ = "i(" + lname + ")";
   probe_r_ = "r(" + lname + ")";
@@ -52,11 +53,6 @@ double Ptm::resistance_at(const PtmParams& params, double s) {
   const double log_r =
       (1.0 - s) * std::log(params.r_ins) + s * std::log(params.r_met);
   return std::exp(log_r);
-}
-
-void Ptm::cache_log_resistances() {
-  log_r_ins_ = std::log(params_.r_ins);
-  log_r_met_ = std::log(params_.r_met);
 }
 
 double Ptm::resistance_cached(double s) const {

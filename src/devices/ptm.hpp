@@ -95,15 +95,6 @@ class Ptm final : public sim::Device {
   }
   bool update_quasistatic_state(const std::vector<double>& x) override;
 
-  /// Swap in a new parameter card (validated); callers that reuse an
-  /// elaborated testbench across Monte-Carlo samples pair this with
-  /// reset_state() to make the device indistinguishable from freshly built.
-  void set_params(const PtmParams& params) {
-    params.validate();
-    params_ = params;
-    cache_log_resistances();
-  }
-
   [[nodiscard]] const PtmParams& params() const noexcept { return params_; }
   [[nodiscard]] PtmPhase target_phase() const noexcept { return target_; }
   /// Phase position s in [0, 1]: 0 = fully insulating, 1 = fully metallic.
@@ -130,7 +121,6 @@ class Ptm final : public sim::Device {
   /// same doubles resistance_at computes, so results are bit-identical
   /// while load() skips two logs per Newton iteration.
   [[nodiscard]] double resistance_cached(double s) const;
-  void cache_log_resistances();
 
   sim::NodeId p_;
   sim::NodeId n_;

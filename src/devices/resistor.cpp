@@ -20,14 +20,6 @@ void Resistor::setup(sim::Circuit& circuit) {
   un_ = circuit.node_unknown(n_);
 }
 
-void Resistor::set_resistance(double resistance) {
-  if (!(resistance > 0.0)) {
-    throw InvalidCircuitError("resistor " + name() +
-                              ": resistance must be positive");
-  }
-  resistance_ = resistance;
-}
-
 void Resistor::load(const std::vector<double>& x, sim::Stamper& stamper,
                     const sim::LoadContext& /*ctx*/) {
   stamper.add_conductance(up_, un_, 1.0 / resistance_, voltage_of(x, up_),

@@ -17,7 +17,6 @@ class Resistor final : public sim::Device {
                double omega) override;
 
   [[nodiscard]] double resistance() const noexcept { return resistance_; }
-  void set_resistance(double resistance);
 
  private:
   sim::NodeId p_;

@@ -78,7 +78,6 @@ class VSource final : public sim::Device, public sim::DcSettable {
   void set_dc(double value) override;
 
   [[nodiscard]] const SourceSpec& spec() const noexcept { return spec_; }
-  void set_spec(SourceSpec spec) { spec_ = std::move(spec); }
 
   /// Unknown index of the branch current (valid after prepare()).
   [[nodiscard]] int branch_unknown() const noexcept { return branch_; }
@@ -105,8 +104,6 @@ class ISource final : public sim::Device, public sim::DcSettable {
                double omega) override;
   [[nodiscard]] double next_breakpoint(double time) const override;
   void set_dc(double value) override;
-
-  void set_spec(SourceSpec spec) { spec_ = std::move(spec); }
 
  private:
   sim::NodeId p_;

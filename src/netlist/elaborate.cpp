@@ -28,22 +28,28 @@ namespace sd = softfet::devices;
 namespace t40 = softfet::devices::tech40;
 
 /// Evaluate a value token: "{expr}", a number with suffix, or a bare
-/// parameter name.
+/// parameter name. The value must be finite.
 [[nodiscard]] double eval_value(const std::string& token,
                                 const ParamScope& scope, int line) {
-  try {
-    if (token.size() >= 2 && token.front() == '{' && token.back() == '}') {
-      return evaluate_expression(
-          std::string_view(token).substr(1, token.size() - 2), scope);
+  const double value = [&] {
+    try {
+      if (token.size() >= 2 && token.front() == '{' && token.back() == '}') {
+        return evaluate_expression(
+            std::string_view(token).substr(1, token.size() - 2), scope);
+      }
+      if (const auto number = util::parse_spice_number(token)) return *number;
+      if (scope.has(token)) return scope.get(token);
+      // Last resort: a brace-free expression ("vcc/2").
+      return evaluate_expression(token, scope);
+    } catch (const Error& e) {
+      throw ParseError(std::string("bad value '") + token + "': " + e.what(),
+                       line);
     }
-    if (const auto number = util::parse_spice_number(token)) return *number;
-    if (scope.has(token)) return scope.get(token);
-    // Last resort: a brace-free expression ("vcc/2").
-    return evaluate_expression(token, scope);
-  } catch (const Error& e) {
-    throw ParseError(std::string("bad value '") + token + "': " + e.what(),
-                     line);
+  }();
+  if (!std::isfinite(value)) {
+    throw ParseError("bad value '" + token + "': not finite", line);
   }
+  return value;
 }
 
 [[nodiscard]] bool is_assignment(const std::string& token) {

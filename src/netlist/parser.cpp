@@ -270,8 +270,11 @@ class AstBuilder {
         throw ParseError(".tran needs tstep and tstop", line.number);
       }
       TranDirective tran;
-      tran.tstep = parse_number_token(tokens[1], line.number);
-      tran.tstop = parse_number_token(tokens[2], line.number);
+      tran.tstep = parse_sweep_token(tokens[1], line.number);
+      tran.tstop = parse_sweep_token(tokens[2], line.number);
+      if (!(tran.tstep > 0.0) || !(tran.tstop > 0.0)) {
+        throw ParseError(".tran needs tstep > 0 and tstop > 0", line.number);
+      }
       ast.tran = tran;
       return;
     }

@@ -2,11 +2,19 @@
 
 namespace softfet::numeric {
 
+namespace {
+
+/// Krylov convergence target relative to ||b|| (tight, because Newton
+/// treats the result as an exact solve) and iteration cap per solve before
+/// falling back to a refactor.
+constexpr KrylovOptions kKrylov{.rtol = 1e-12, .max_iterations = 120};
+
+}  // namespace
+
 const char* to_string(SolverPolicy policy) {
   switch (policy) {
     case SolverPolicy::kDirect: return "direct";
     case SolverPolicy::kIterative: return "iterative";
-    case SolverPolicy::kAuto: return "auto";
   }
   return "unknown";
 }
@@ -23,15 +31,13 @@ std::vector<double> LinearSolver::solve(const SparseMatrix& a,
     return dense_lu_.solve(b);
   }
 
-  if (iterative_active() && sparse_.valid() && sparse_.size() == a.size()) {
+  if (config_.policy == SolverPolicy::kIterative && sparse_.valid() &&
+      sparse_.size() == a.size()) {
     // Reuse the last factorization — stale values and all — as the
     // preconditioner. With M close to A this converges in a few
     // iterations and skips the refactorization entirely.
     std::vector<double> x(a.size(), 0.0);
-    KrylovOptions kopt;
-    kopt.rtol = config_.krylov_rtol;
-    kopt.max_iterations = config_.krylov_max_iterations;
-    const KrylovResult kr = bicgstab(a, b, x, &sparse_, kopt);
+    const KrylovResult kr = bicgstab(a, b, x, &sparse_, kKrylov);
     krylov_iterations_ += kr.iterations;
     if (kr.converged) {
       ++krylov_solves_;
@@ -43,11 +49,6 @@ std::vector<double> LinearSolver::solve(const SparseMatrix& a,
   }
 
   sparse_.factor(a);
-  if (config_.policy == SolverPolicy::kAuto && !auto_iterative_ &&
-      a.size() >= config_.auto_min_unknowns &&
-      sparse_.fill_ratio() > config_.auto_fill_ratio) {
-    auto_iterative_ = true;
-  }
   ++direct_solves_;
   return sparse_.solve(b);
 }

@@ -15,9 +15,6 @@
 //  - kIterative  keep the last LU as a Krylov preconditioner: each call
 //                tries BiCGSTAB with the cached (possibly stale) factors
 //                and only refactors when the iteration fails to converge.
-//  - kAuto       direct until an analysis reports explosive fill
-//                (fill_ratio > auto_fill_ratio on a system of at least
-//                auto_min_unknowns), then behaves as kIterative.
 #pragma once
 
 #include <cstddef>
@@ -42,26 +39,16 @@ enum class SolverKind {
 enum class SolverPolicy {
   kDirect,
   kIterative,
-  kAuto,
 };
 
 [[nodiscard]] const char* to_string(SolverPolicy policy);
 
 /// Full facade configuration. SimOptions carries the kind/policy/ordering
-/// knobs; the tuning fields have defaults that suit MNA systems.
+/// knobs.
 struct LinearSolverConfig {
   SolverKind kind = SolverKind::kAuto;
   SolverPolicy policy = SolverPolicy::kDirect;
   OrderingKind ordering = OrderingKind::kAuto;
-  /// Krylov convergence target relative to ||b|| — tight, because Newton
-  /// treats the result as an exact solve.
-  double krylov_rtol = 1e-12;
-  /// Krylov iteration cap per solve before falling back to a refactor.
-  std::size_t krylov_max_iterations = 120;
-  /// kAuto goes iterative when a direct analysis exceeds this fill ratio…
-  double auto_fill_ratio = 16.0;
-  /// …on a system with at least this many unknowns.
-  std::size_t auto_min_unknowns = 256;
   /// Optional shared AMD-permutation memo (see numeric::OrderingCache).
   /// Null (the default) computes orderings per solver, the historical
   /// behavior; attaching one never changes results, only latency.
@@ -112,18 +99,11 @@ class LinearSolver {
   /// Lifetime counters for diagnostics and perf reporting.
   [[nodiscard]] LinearSolverStats stats() const noexcept;
 
-  /// True once a kAuto policy has tripped into iterative mode.
-  [[nodiscard]] bool iterative_active() const noexcept {
-    return config_.policy == SolverPolicy::kIterative ||
-           (config_.policy == SolverPolicy::kAuto && auto_iterative_);
-  }
-
  private:
   LinearSolverConfig config_;
   SparseLu sparse_;
   DenseMatrix dense_;
   DenseLu dense_lu_;
-  bool auto_iterative_ = false;
   std::size_t direct_solves_ = 0;
   std::size_t krylov_solves_ = 0;
   std::size_t krylov_iterations_ = 0;

@@ -325,6 +325,26 @@ class Parser {
     }
   }
 
+  /// The four hex digits of a \u escape.
+  unsigned take_hex4() {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (eof()) fail("unterminated \\u escape");
+      const char h = take();
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("bad \\u escape digit");
+      }
+    }
+    return code;
+  }
+
   std::string parse_string() {
     expect('"');
     std::string out;
@@ -351,30 +371,35 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            if (eof()) fail("unterminated \\u escape");
-            const char h = take();
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape digit");
-            }
+          unsigned code = take_hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) {
+            fail("unpaired low surrogate in \\u escape");
           }
-          // UTF-8 encode the code point (surrogate pairs are not needed by
-          // the protocol; lone surrogates encode as-is).
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must be followed by an escaped low one; the
+            // pair is one code point above the BMP.
+            if (eof() || take() != '\\' || eof() || take() != 'u') {
+              fail("unpaired high surrogate in \\u escape");
+            }
+            const unsigned low = take_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) {
+              fail("unpaired high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          }
+          // UTF-8 encode the code point.
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
             out += static_cast<char>(0xC0 | (code >> 6));
             out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
+          } else if (code < 0x10000) {
             out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xF0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
             out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
             out += static_cast<char>(0x80 | (code & 0x3F));
           }

@@ -70,9 +70,7 @@ struct SimOptions {
   /// Direct vs. preconditioned-iterative strategy. kDirect (the default)
   /// keeps every result bitwise identical to the historical behavior;
   /// kIterative answers solves with BiCGSTAB preconditioned by the last
-  /// cached LU and only refactors on convergence failure; kAuto starts
-  /// direct and flips to iterative when an analysis reports explosive
-  /// fill-in (see numeric::LinearSolverConfig).
+  /// cached LU and only refactors on convergence failure.
   numeric::SolverPolicy solver_policy = numeric::SolverPolicy::kDirect;
   /// Fill-reducing ordering ahead of the sparse symbolic phase. kAuto
   /// applies AMD at or above SparseLu::kAutoOrderingThreshold unknowns, so

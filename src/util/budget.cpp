@@ -88,6 +88,4 @@ void install_signal_cancel() {
   std::signal(SIGTERM, cancel_signal_handler);
 }
 
-void install_sigint_cancel() { install_signal_cancel(); }
-
 }  // namespace softfet::util

@@ -109,9 +109,6 @@ class BudgetTimer {
 /// Idempotent.
 void install_signal_cancel();
 
-/// Back-compat alias for install_signal_cancel().
-void install_sigint_cancel();
-
 /// The signal number that triggered the cooperative cancel (0 when the
 /// token was never tripped by a signal). Lets drivers exit 130 for SIGINT
 /// vs 143 for SIGTERM after a cooperative drain.

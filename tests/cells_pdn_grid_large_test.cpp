@@ -62,15 +62,3 @@ TEST(PdnGridLarge, IterativePolicyMatchesDirectOnMesh) {
     EXPECT_NEAR(rail_i.value(t), rail_d.value(t), 1e-6) << "t=" << t;
   }
 }
-
-TEST(PdnGridLarge, AutoPolicyStaysDirectWhenFillIsModest) {
-  // AMD keeps mesh fill well under the auto trigger's explosive-fill
-  // threshold, so kAuto behaves exactly like kDirect here.
-  ss::Circuit c;
-  build_grid(c, 24);
-  ss::SimOptions options;
-  options.solver_policy = softfet::numeric::SolverPolicy::kAuto;
-  const auto result = ss::run_transient(c, 3e-9, options);
-  EXPECT_EQ(result.diagnostics.krylov_solves, 0u);
-  EXPECT_TRUE(result.diagnostics.reordered);
-}

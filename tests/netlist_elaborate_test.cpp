@@ -164,6 +164,42 @@ TEST(Elaborate, SemanticErrors) {
       softfet::ParseError);
 }
 
+namespace {
+
+/// The line a netlist's elaboration ParseError points at (0: it compiled).
+int rejected_at_line(const std::string& text) {
+  try {
+    (void)nl::compile_netlist(text);
+  } catch (const softfet::ParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+}  // namespace
+
+// A non-finite element value is a parse error at its card, not a silent
+// run, a DC convergence failure or a recovery-ladder climb.
+TEST(Elaborate, DivisionByZeroResistanceIsRejected) {
+  EXPECT_EQ(rejected_at_line("t\nV1 n 0 1\nR1 n 0 {1/0}\n"), 3);
+}
+
+TEST(Elaborate, OverflowingResistanceIsRejected) {
+  EXPECT_EQ(rejected_at_line("t\nV1 n 0 1\nR1 n 0 1e999\n"), 3);
+}
+
+TEST(Elaborate, InfiniteSourceValueIsRejected) {
+  EXPECT_EQ(rejected_at_line("t\nV1 n 0 inf\nR1 n 0 1k\n"), 2);
+}
+
+TEST(Elaborate, NanSineParameterIsRejected) {
+  EXPECT_EQ(rejected_at_line("t\nV1 n 0 SIN(0 1 {0/0})\nR1 n 0 1k\n"), 2);
+}
+
+TEST(Elaborate, DivisionByZeroCapacitanceIsRejected) {
+  EXPECT_EQ(rejected_at_line("t\nV1 n 0 1\nR1 n m 1k\nC1 m 0 {1/0}\n"), 4);
+}
+
 // A subckt that instantiates itself, directly or through another, must be
 // a parse error naming the cycle at the closing instance's line, not
 // unbounded recursion. So must a non-recursive nest too deep for the stack

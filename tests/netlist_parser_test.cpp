@@ -200,6 +200,23 @@ TEST(NetlistParser, AcNonFiniteStopIsRejected) {
   EXPECT_EQ(rejected_at_line(".ac dec 10 1 1e400"), 3);
 }
 
+TEST(NetlistParser, TranNonFiniteStopIsRejected) {
+  EXPECT_EQ(rejected_at_line(".tran 1n 1e999"), 3);
+}
+
+TEST(NetlistParser, TranNanStepIsRejected) {
+  EXPECT_EQ(rejected_at_line(".tran nan 1n"), 3);
+}
+
+TEST(NetlistParser, TranNanStopIsRejected) {
+  EXPECT_EQ(rejected_at_line(".tran 1n nan"), 3);
+}
+
+TEST(NetlistParser, TranNonPositiveTimesAreRejected) {
+  EXPECT_EQ(rejected_at_line(".tran 1n 0"), 3);
+  EXPECT_EQ(rejected_at_line(".tran -1n 1n"), 3);
+}
+
 TEST(NetlistParser, AcPointsOutOfIntRangeAreRejected) {
   EXPECT_EQ(rejected_at_line(".ac lin 1e300 1 10"), 3);
   EXPECT_EQ(rejected_at_line(".ac lin 2.5 1 10"), 3);

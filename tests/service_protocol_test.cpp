@@ -347,3 +347,37 @@ TEST(Protocol, RecursiveSubcktJobGetsParseErrorAndServerStaysUp) {
   ASSERT_TRUE(out.await("p1", "result"));
   server.wait_idle();
 }
+
+TEST(Json, SurrogatePairEscapeDecodesToOneCodePoint) {
+  // U+1F600 is one 4-byte UTF-8 sequence, not two 3-byte halves.
+  EXPECT_EQ(ss::json_parse(R"("x\ud83d\ude00")").as_string(),
+            "x\xF0\x9F\x98\x80");
+
+  // The id is echoed back as the same valid UTF-8.
+  const auto server = std::make_unique<ss::Server>(ss::ServerConfig{});
+  std::vector<std::string> lines;
+  server->handle_line(R"({"id":"x\ud83d\ude00","type":"ping"})",
+                      [&](const std::string& line) { lines.push_back(line); });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0],
+            "{\"id\":\"x\xF0\x9F\x98\x80\",\"seq\":0,\"event\":\"result\","
+            "\"pong\":true}");
+}
+
+TEST(Json, UnpairedSurrogateEscapeIsRejected) {
+  for (const char* text : {R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\u0041")",
+                           R"("\ude00")"}) {
+    EXPECT_THROW((void)ss::json_parse(text), ParseError) << text;
+  }
+
+  const auto server = std::make_unique<ss::Server>(ss::ServerConfig{});
+  std::vector<std::string> lines;
+  server->handle_line(R"({"id":"x\ud83d","type":"ping"})",
+                      [&](const std::string& line) { lines.push_back(line); });
+  ASSERT_EQ(lines.size(), 1u);
+  const ss::JsonValue event = ss::json_parse(lines[0]);
+  EXPECT_EQ(event.string_or("event", ""), "rejected");
+  EXPECT_EQ(event.string_or("code", ""), ss::kRejectInvalid);
+  EXPECT_EQ(event.number_or("line", -1), 1.0);
+  EXPECT_GT(event.number_or("column", -1), 0.0);
+}
