@@ -1,7 +1,7 @@
 // softfet-spice: run a SPICE-style netlist through the softfet simulator.
 //
 //   $ ./netlist_runner circuit.sp [--csv out.csv] [--signals v(out),i(vdd)]
-//                      [--timeout seconds] [--determinism bitwise|relaxed]
+//                      [--timeout seconds]
 //
 // --timeout puts a wall-clock budget on every analysis; a transient that
 // trips it still writes the partial waveform to --csv, prints a one-line
@@ -9,10 +9,13 @@
 // SIGTERM). The first SIGINT/SIGTERM requests a cooperative stop — the
 // partial waveform still flushes — and a second signal hard-exits.
 //
-// Supports .op, .dc and .tran (driven by the netlist's directives), the
-// element cards R C L V I E G S D M P X, .model cards (nmos/pmos/ptm/d/sw),
-// .param expressions, and .subckt hierarchy. The 'P' element is the PTM
-// hysteretic resistor, so Soft-FET circuits are plain netlists:
+// Supports .op, .dc, .tran and .ac (driven by the netlist's directives
+// through netlist::run: .op runs when asked for, or when the deck has no
+// other analysis), the element cards R C L V I E G S D M P X, .model cards
+// (nmos/pmos/ptm/d/sw), .param expressions, and .subckt hierarchy.
+// --signals picks the CSV columns of every sweep; for .ac, v(x) picks
+// mag(v(x)). The 'P' element is the PTM hysteretic resistor, so Soft-FET
+// circuits are plain netlists:
 //
 //   * soft-fet inverter
 //   .model vo2 ptm rins=500k rmet=5k vimt=0.4 vmit=0.3 tptm=10p
@@ -26,16 +29,11 @@
 //   Cl out 0 2f
 //   .tran 1p 1n
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "netlist/elaborate.hpp"
-#include "netlist/measure_eval.hpp"
-#include "sim/ac.hpp"
-#include "sim/analyses.hpp"
+#include "netlist/run.hpp"
 #include "util/budget.hpp"
 #include "util/build_info.hpp"
 #include "util/csv.hpp"
@@ -46,6 +44,7 @@
 namespace {
 
 using namespace softfet;
+using netlist::Analysis;
 
 // Distinct exit codes so scripts can tell "netlist/convergence problem"
 // from "ran out of budget" from "user/service-manager interrupted"
@@ -58,38 +57,40 @@ constexpr int kExitCancel = 130;
                                            : kExitBudget;
 }
 
-void write_rows(const std::string& path, const std::string& axis_name,
-                const std::vector<double>& axis, const sim::SignalTable& table,
-                const std::vector<std::string>& wanted) {
-  std::vector<std::string> columns{axis_name};
-  std::vector<const std::vector<double>*> data;
-  for (const auto& name : table.names()) {
-    bool take = wanted.empty();
-    for (const auto& w : wanted) {
-      if (util::iequals(w, name)) take = true;
-    }
-    if (!take) continue;
-    columns.push_back(name);
-    data.push_back(&table.signal(name));
-  }
+/// The axis plus the `wanted` columns of one sweep as CSV.
+void write_csv(const std::string& path, const netlist::AnalysisTable& t,
+               const std::vector<std::string>& wanted) {
+  const std::vector<std::size_t> selected = t.select(wanted);
+  std::vector<std::string> columns{t.axis_name};
+  for (const std::size_t i : selected) columns.push_back(t.table.names()[i]);
   std::ofstream file(path);
   if (!file) throw Error("cannot open output file '" + path + "'");
   util::CsvWriter writer(file, columns);
-  for (std::size_t row = 0; row < axis.size(); ++row) {
-    std::vector<double> values{axis[row]};
-    for (const auto* column : data) values.push_back((*column)[row]);
+  std::vector<double> values;
+  for (std::size_t row = 0; row < t.axis.size(); ++row) {
+    values.assign(1, t.axis[row]);
+    for (const std::size_t i : selected) {
+      values.push_back(t.table.column(i)[row]);
+    }
     writer.write_row(values);
   }
-  std::printf("wrote %zu rows x %zu signals to %s\n", axis.size(),
-              columns.size() - 1, path.c_str());
+  if (t.kind == Analysis::kAc) {
+    std::printf("wrote %zu rows to %s\n", t.axis.size(), path.c_str());
+  } else {
+    std::printf("wrote %zu rows x %zu signals to %s\n", t.axis.size(),
+                selected.size(), path.c_str());
+  }
 }
+
+constexpr const char* kUsage =
+    "usage: netlist_runner <file.sp> [--csv out.csv] [--signals a,b,...] "
+    "[--timeout seconds] [--version]\n";
 
 int run(int argc, char** argv) {
   std::string netlist_path;
   std::string csv_path;
   std::vector<std::string> signals;
   double timeout_seconds = 0.0;
-  sim::Determinism determinism = sim::Determinism::kBitwise;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--csv" && i + 1 < argc) {
@@ -103,34 +104,18 @@ int run(int argc, char** argv) {
         return 2;
       }
       timeout_seconds = *parsed;
-    } else if (arg == "--determinism" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "bitwise") {
-        determinism = sim::Determinism::kBitwise;
-      } else if (mode == "relaxed") {
-        determinism = sim::Determinism::kRelaxedUlp;
-      } else {
-        std::fprintf(stderr,
-                     "--determinism must be 'bitwise' or 'relaxed' (got "
-                     "'%s')\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (arg == "--version") {
       std::printf("%s\n", util::build_info_line().c_str());
       return 0;
     } else if (!arg.empty() && arg[0] != '-') {
       netlist_path = arg;
     } else {
-      std::fprintf(stderr,
-                   "usage: netlist_runner <file.sp> [--csv out.csv] "
-                   "[--signals a,b,...] [--timeout seconds] "
-                   "[--determinism bitwise|relaxed] [--version]\n");
+      std::fputs(kUsage, stderr);
       return 2;
     }
   }
   if (netlist_path.empty()) {
-    std::fprintf(stderr, "usage: netlist_runner <file.sp> [--csv out.csv]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 
@@ -138,7 +123,6 @@ int run(int argc, char** argv) {
   sim::SimOptions options;
   options.budget.max_wall_seconds = timeout_seconds;
   options.budget.cancel = &util::sigint_cancel_token();
-  options.determinism = determinism;
 
   auto net = netlist::compile_netlist_file(netlist_path);
   if (!net.title.empty()) std::printf("* %s\n", net.title.c_str());
@@ -147,78 +131,49 @@ int run(int argc, char** argv) {
               net.circuit->node_count(), net.circuit->devices().size(),
               net.circuit->unknown_count());
 
-  if (net.op || (!net.tran && !net.dc)) {
-    const auto op = sim::dc_operating_point(*net.circuit, options);
-    std::printf("\n.op results:\n");
-    for (std::size_t i = 0; i < op.labels.size(); ++i) {
-      std::printf("  %-20s %+.6g\n", op.labels[i].c_str(), op.x[i]);
+  int exit_code = 0;
+  netlist::run(net, options, [&](const netlist::AnalysisTable& t) {
+    switch (t.kind) {
+      case Analysis::kOp:
+        std::printf("\n.op results:\n");
+        for (std::size_t i = 0; i < t.table.columns(); ++i) {
+          std::printf("  %-20s %+.6g\n", t.table.names()[i].c_str(),
+                      t.table.column(i)[0]);
+        }
+        return;
+      case Analysis::kDc:
+        std::printf("\n.dc sweep of %s: %zu points\n", t.axis_name.c_str(),
+                    t.axis.size());
+        break;
+      case Analysis::kTran:
+        std::printf("\n.tran to %g s: %zu accepted steps, %zu rejected, "
+                    "%zu Newton iterations, %zu PTM events\n",
+                    net.tran->tstop, t.tran->accepted_steps,
+                    t.tran->rejected_steps, t.tran->newton_iterations,
+                    t.tran->event_count);
+        break;
+      case Analysis::kAc:
+        std::printf("\n.ac sweep: %zu frequency points\n", t.axis.size());
+        break;
     }
-  }
-  if (net.dc) {
-    const auto sweep =
-        sim::dc_sweep(*net.circuit, net.dc->source, net.dc->points(), options);
-    std::printf("\n.dc sweep of %s: %zu points\n", net.dc->source.c_str(),
-                sweep.axis.size());
-    if (!csv_path.empty()) {
-      write_rows(csv_path, net.dc->source, sweep.axis, sweep.table, signals);
-    }
-  }
-  if (net.tran) {
-    if (net.tran->tstep > 0.0) options.dtmax = net.tran->tstep * 10.0;
-    const auto result =
-        sim::run_transient(*net.circuit, net.tran->tstop, options);
-    std::printf("\n.tran to %g s: %zu accepted steps, %zu rejected, "
-                "%zu Newton iterations, %zu PTM events\n",
-                net.tran->tstop, result.accepted_steps, result.rejected_steps,
-                result.newton_iterations, result.event_count);
-    if (!csv_path.empty() && !result.time.empty()) {
-      write_rows(csv_path, "time", result.time, result.table, signals);
-    }
-    if (result.truncated) {
+    if (!csv_path.empty() && !t.axis.empty()) write_csv(csv_path, t, signals);
+    if (t.tran != nullptr && t.tran->truncated) {
       // Partial CSV (if any) is already on disk; one line says why and how
       // far the run got, then the budget-specific exit code.
-      const double reached = result.time.empty() ? 0.0 : result.time.back();
-      std::fprintf(stderr,
-                   "budget stop: %s at t=%g s of %g s (%s)\n",
-                   util::to_string(result.stop_reason), reached,
-                   net.tran->tstop, result.diagnostics.summary().c_str());
-      return exit_code_for(result.stop_reason);
+      const double reached = t.axis.empty() ? 0.0 : t.axis.back();
+      std::fprintf(stderr, "budget stop: %s at t=%g s of %g s (%s)\n",
+                   util::to_string(t.tran->stop_reason), reached,
+                   net.tran->tstop, t.tran->diagnostics.summary().c_str());
+      exit_code = exit_code_for(t.tran->stop_reason);
     }
-    if (!net.measures.empty()) {
+    if (!t.measures.empty()) {
       std::printf("\n.measure results:\n");
-      for (const auto& m : netlist::evaluate_measures(net.measures, result)) {
+      for (const auto& m : t.measures) {
         std::printf("  %-16s = %.6g\n", m.name.c_str(), m.value);
       }
     }
-  }
-  if (net.ac) {
-    const auto freqs = net.ac->frequencies();
-    const auto result = sim::ac_sweep(*net.circuit, freqs);
-    std::printf("\n.ac sweep: %zu frequency points\n", freqs.size());
-    if (!csv_path.empty()) {
-      // Magnitudes of all (or selected) signals.
-      std::vector<std::string> columns{"freq"};
-      std::vector<std::vector<double>> mags;
-      for (const auto& name : result.names()) {
-        bool take = signals.empty();
-        for (const auto& w : signals) {
-          if (util::iequals(w, name)) take = true;
-        }
-        if (!take) continue;
-        columns.push_back("mag(" + name + ")");
-        mags.push_back(result.magnitude(name));
-      }
-      std::ofstream file(csv_path);
-      util::CsvWriter writer(file, columns);
-      for (std::size_t row = 0; row < freqs.size(); ++row) {
-        std::vector<double> values{freqs[row]};
-        for (const auto& column : mags) values.push_back(column[row]);
-        writer.write_row(values);
-      }
-      std::printf("wrote %zu rows to %s\n", freqs.size(), csv_path.c_str());
-    }
-  }
-  return 0;
+  });
+  return exit_code;
 }
 
 }  // namespace

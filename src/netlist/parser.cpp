@@ -36,6 +36,8 @@ struct Line {
 }
 
 /// Physical lines -> logical lines ('+' continuation), comments removed.
+/// The first non-blank line is kept even when it is a '*' comment: it is
+/// the title line.
 [[nodiscard]] std::vector<Line> logical_lines(std::string_view text) {
   std::vector<Line> lines;
   std::istringstream stream{std::string(text)};
@@ -47,7 +49,7 @@ struct Line {
     const std::string stripped = strip_inline_comment(raw);
     const std::string_view trimmed = util::trim(stripped);
     if (trimmed.empty()) continue;
-    if (trimmed.front() == '*') continue;  // comment line
+    if (trimmed.front() == '*' && !lines.empty()) continue;  // comment line
     if (trimmed.front() == '+') {
       if (lines.empty()) {
         throw ParseError("continuation line with nothing to continue", number);
@@ -167,12 +169,16 @@ class AstBuilder {
     NetlistAst ast;
     auto lines = logical_lines(text);
     std::size_t start = 0;
-    // SPICE semantics: the first line is the title unless it is a directive
-    // (".title Foo" is also accepted).
+    // SPICE semantics: the first non-blank line is the title unless it is a
+    // directive (".title Foo" is also accepted); a '*' title line drops
+    // its comment marker.
     if (!lines.empty()) {
       const std::string lowered = util::to_lower(lines[0].text);
       if (util::istarts_with(lowered, ".title")) {
         ast.title = std::string(util::trim(lines[0].text.substr(6)));
+        start = 1;
+      } else if (lowered.front() == '*') {
+        ast.title = std::string(util::trim(lines[0].text.substr(1)));
         start = 1;
       } else if (lowered.front() != '.') {
         ast.title = lines[0].text;

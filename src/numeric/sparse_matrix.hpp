@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "numeric/dense_matrix.hpp"
+#include "numeric/dense_lu.hpp"
 
 namespace softfet::numeric {
 

@@ -1,8 +1,9 @@
 // Built-in job handlers of the simulation service: "netlist" runs a
-// SPICE-style netlist embedded in the request (op/dc/tran/ac + measures,
-// waveforms streamed in bounded chunks), "monte_carlo" runs the PTM
-// fabrication-variability study with per-sample progress events and
-// checkpoint/resume through the job's state file. Both produce exactly the
+// SPICE-style netlist embedded in the request through netlist::run
+// (op/dc/tran/ac + measures, waveforms streamed in bounded chunks),
+// "monte_carlo" runs the PTM fabrication-variability study with
+// per-sample progress events and checkpoint/resume through the job's
+// state file. Both produce exactly the
 // numbers the direct library calls produce — the service layer adds
 // streaming and robustness, never different math.
 #include <algorithm>
@@ -17,13 +18,10 @@
 #include "core/variation.hpp"
 #include "devices/ptm.hpp"
 #include "netlist/elaborate.hpp"
-#include "netlist/measure_eval.hpp"
 #include "netlist/parser.hpp"
+#include "netlist/run.hpp"
 #include "service/server.hpp"
-#include "sim/ac.hpp"
-#include "sim/analyses.hpp"
 #include "sim/options.hpp"
-#include "util/strings.hpp"
 
 namespace softfet::service {
 
@@ -47,7 +45,12 @@ constexpr double kMaxMonteCarloLanes = 64.0;
   return v;
 }
 
-/// Column selection mirroring netlist_runner's --signals filter.
+/// A count as a JSON number.
+[[nodiscard]] JsonValue count(std::size_t n) {
+  return JsonValue::number(static_cast<double>(n));
+}
+
+/// The "signals" request field: names for AnalysisTable::select.
 [[nodiscard]] std::vector<std::string> wanted_signals(const Request& request) {
   std::vector<std::string> wanted;
   if (const JsonValue* signals = request.payload.get("signals");
@@ -59,28 +62,19 @@ constexpr double kMaxMonteCarloLanes = 64.0;
   return wanted;
 }
 
-/// Stream one axis+table result as `chunk` events of at most
-/// config->chunk_rows rows. Every chunk is self-describing (kind, columns,
-/// row_offset) so clients can reassemble without cross-chunk state; `last`
-/// marks the final chunk.
-void stream_table(JobContext& ctx, const char* kind,
-                  const std::string& axis_name,
-                  const std::vector<double>& axis,
-                  const sim::SignalTable& table,
+/// Stream the wanted columns of one finished sweep as `chunk` events of at
+/// most config->chunk_rows rows. Every chunk is self-describing (kind,
+/// columns, row_offset) so clients can reassemble without cross-chunk
+/// state; `last` marks the final chunk.
+void stream_table(JobContext& ctx, const netlist::AnalysisTable& t,
                   const std::vector<std::string>& wanted) {
-  std::vector<std::string> columns{axis_name};
-  std::vector<const std::vector<double>*> data;
-  for (const auto& name : table.names()) {
-    bool take = wanted.empty();
-    for (const auto& w : wanted) {
-      if (util::iequals(w, name)) take = true;
-    }
-    if (!take) continue;
-    columns.push_back(name);
-    data.push_back(&table.signal(name));
-  }
+  const std::vector<std::size_t> selected = t.select(wanted);
+  JsonValue columns = JsonValue::array();
+  columns.push(JsonValue::string(t.axis_name));
+  for (const std::size_t i : selected)
+    columns.push(JsonValue::string(t.table.names()[i]));
 
-  const std::size_t rows = axis.size();
+  const std::size_t rows = t.axis.size();
   const std::size_t chunk_rows =
       ctx.config != nullptr && ctx.config->chunk_rows > 0
           ? ctx.config->chunk_rows
@@ -88,17 +82,15 @@ void stream_table(JobContext& ctx, const char* kind,
   for (std::size_t start = 0; start < rows; start += chunk_rows) {
     const std::size_t stop = std::min(rows, start + chunk_rows);
     JsonValue fields = JsonValue::object();
-    fields.set("kind", JsonValue::string(kind));
-    JsonValue names = JsonValue::array();
-    for (const auto& column : columns) names.push(JsonValue::string(column));
-    fields.set("columns", std::move(names));
-    fields.set("row_offset", JsonValue::number(static_cast<double>(start)));
+    fields.set("kind", JsonValue::string(netlist::to_string(t.kind)));
+    fields.set("columns", columns);
+    fields.set("row_offset", count(start));
     JsonValue block = JsonValue::array();
     for (std::size_t row = start; row < stop; ++row) {
       JsonValue values = JsonValue::array();
-      values.push(JsonValue::number(axis[row]));
-      for (const auto* column : data)
-        values.push(JsonValue::number((*column)[row]));
+      values.push(JsonValue::number(t.axis[row]));
+      for (const std::size_t i : selected)
+        values.push(JsonValue::number(t.table.column(i)[row]));
       block.push(std::move(values));
     }
     fields.set("rows", std::move(block));
@@ -154,83 +146,53 @@ JobHandler netlist_job_handler() {
     JsonValue result = JsonValue::object();
     if (!net.title.empty())
       result.set("title", JsonValue::string(net.title));
-    result.set("nodes", JsonValue::number(
-                            static_cast<double>(net.circuit->node_count())));
-    result.set("devices",
-               JsonValue::number(
-                   static_cast<double>(net.circuit->devices().size())));
-    result.set("unknowns",
-               JsonValue::number(
-                   static_cast<double>(net.circuit->unknown_count())));
+    result.set("nodes", count(net.circuit->node_count()));
+    result.set("devices", count(net.circuit->devices().size()));
+    result.set("unknowns", count(net.circuit->unknown_count()));
 
     const std::vector<std::string> wanted = wanted_signals(request);
-
-    if (net.op || (!net.tran && !net.dc && !net.ac)) {
-      const auto op = sim::dc_operating_point(*net.circuit, ctx.options);
-      JsonValue values = JsonValue::object();
-      for (std::size_t i = 0; i < op.labels.size(); ++i) {
-        values.set(op.labels[i], JsonValue::number(op.x[i]));
-      }
-      result.set("op", std::move(values));
-    }
-    if (net.dc) {
-      const auto sweep = sim::dc_sweep(*net.circuit, net.dc->source,
-                                       net.dc->points(), ctx.options);
-      stream_table(ctx, "dc", net.dc->source, sweep.axis, sweep.table, wanted);
-      result.set("dc_points", JsonValue::number(
-                                  static_cast<double>(sweep.axis.size())));
-    }
-    if (net.tran) {
-      sim::SimOptions tran_options = ctx.options;
-      if (net.tran->tstep > 0.0) tran_options.dtmax = net.tran->tstep * 10.0;
-      const auto tran =
-          sim::run_transient(*net.circuit, net.tran->tstop, tran_options);
-      // Stream what we have first — a budget-stopped partial waveform is
-      // still delivered before the structured error goes out.
-      stream_table(ctx, "tran", "time", tran.time, tran.table, wanted);
-      core::require_complete(tran, "netlist transient");
-      JsonValue summary = JsonValue::object();
-      summary.set("tstop", JsonValue::number(net.tran->tstop));
-      summary.set("accepted_steps",
-                  JsonValue::number(static_cast<double>(tran.accepted_steps)));
-      summary.set("rejected_steps",
-                  JsonValue::number(static_cast<double>(tran.rejected_steps)));
-      summary.set("newton_iterations",
-                  JsonValue::number(
-                      static_cast<double>(tran.newton_iterations)));
-      summary.set("ptm_events",
-                  JsonValue::number(static_cast<double>(tran.event_count)));
-      result.set("tran", std::move(summary));
-      if (!net.measures.empty()) {
-        JsonValue measures = JsonValue::object();
-        for (const auto& m : netlist::evaluate_measures(net.measures, tran)) {
-          measures.set(m.name, JsonValue::number(m.value));
+    netlist::run(net, ctx.options, [&](const netlist::AnalysisTable& t) {
+      switch (t.kind) {
+        case netlist::Analysis::kOp: {
+          JsonValue values = JsonValue::object();
+          for (std::size_t i = 0; i < t.table.columns(); ++i) {
+            values.set(t.table.names()[i],
+                       JsonValue::number(t.table.column(i)[0]));
+          }
+          result.set("op", std::move(values));
+          return;
         }
-        result.set("measures", std::move(measures));
-      }
-    }
-    if (net.ac) {
-      const auto freqs = net.ac->frequencies();
-      const auto ac = sim::ac_sweep(*net.circuit, freqs);
-      sim::SignalTable mags;
-      {
-        std::vector<std::string> names;
-        for (const auto& name : ac.names()) names.push_back("mag(" + name + ")");
-        mags = sim::SignalTable(std::move(names));
-        std::vector<std::vector<double>> columns;
-        for (const auto& name : ac.names())
-          columns.push_back(ac.magnitude(name));
-        for (std::size_t row = 0; row < freqs.size(); ++row) {
-          std::vector<double> values;
-          values.reserve(columns.size());
-          for (const auto& column : columns) values.push_back(column[row]);
-          mags.append_row(values);
+        case netlist::Analysis::kDc:
+          stream_table(ctx, t, wanted);
+          result.set("dc_points", count(t.axis.size()));
+          return;
+        case netlist::Analysis::kTran: {
+          // Stream what we have first — a budget-stopped partial waveform
+          // is still delivered before the structured error goes out.
+          stream_table(ctx, t, wanted);
+          core::require_complete(*t.tran, "netlist transient");
+          JsonValue summary = JsonValue::object();
+          summary.set("tstop", JsonValue::number(net.tran->tstop));
+          summary.set("accepted_steps", count(t.tran->accepted_steps));
+          summary.set("rejected_steps", count(t.tran->rejected_steps));
+          summary.set("newton_iterations", count(t.tran->newton_iterations));
+          summary.set("ptm_events", count(t.tran->event_count));
+          result.set("tran", std::move(summary));
+          if (!t.measures.empty()) {
+            JsonValue measures = JsonValue::object();
+            for (const auto& m : t.measures) {
+              measures.set(m.name, JsonValue::number(m.value));
+            }
+            result.set("measures", std::move(measures));
+          }
+          return;
         }
+        case netlist::Analysis::kAc:
+          stream_table(ctx, t, wanted);
+          result.set("ac_points", count(t.axis.size()));
+          return;
       }
-      stream_table(ctx, "ac", "freq", freqs, mags, {});
-      result.set("ac_points",
-                 JsonValue::number(static_cast<double>(freqs.size())));
-    }
+    });
 
     ctx.finish(std::move(result));
   };
@@ -314,9 +276,7 @@ JobHandler monte_carlo_job_handler() {
         failures.push(std::move(record));
       }
       result.set("failures", std::move(failures));
-      result.set("failures_dropped",
-                 JsonValue::number(static_cast<double>(stats.failures.size() -
-                                                       shown)));
+      result.set("failures_dropped", count(stats.failures.size() - shown));
     }
     ctx.finish(std::move(result));
   };

@@ -80,11 +80,6 @@ Server::Server(ServerConfig config)
   if (config_.isolation == IsolationMode::kProcess) {
     SupervisorConfig sup;
     sup.slots = config_.workers;
-    sup.heartbeat_interval_seconds = config_.heartbeat_interval_seconds;
-    sup.heartbeat_timeout_seconds = config_.heartbeat_timeout_seconds;
-    sup.hang_grace_seconds = config_.hang_grace_seconds;
-    sup.worker_memory_bytes = config_.worker_memory_bytes;
-    sup.rlimit_cpu = config_.rlimit_cpu;
     sup.crash_dir = config_.state_dir;
     sup.build = util::build_info_line();
     sup.server_config = &config_;
@@ -712,11 +707,9 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
         finish_job(job, /*keep_journal=*/false);
         return;
       case IsolatedVerdict::Kind::kCrashed:
+        // A crash is usually deterministic, so it is never retried:
+        // retrying would double the blast radius.
         ++worker_crashes_;
-        if (config_.retry_crashed && attempt < config_.retry.max_attempts) {
-          last_failure = verdict.message;
-          continue;
-        }
         ++failed_;
         emit_event(job, "error", crash_error_fields(verdict), true);
         finish_job(job, /*keep_journal=*/false);

@@ -89,11 +89,6 @@ struct ServerConfig {
   double heartbeat_timeout_seconds = 2.0;   ///< silence before SIGKILL
   double hang_grace_seconds = 2.0;    ///< slack past the job timeout
   std::size_t worker_memory_bytes = 0;  ///< RLIMIT_AS per worker (0 = off)
-  bool rlimit_cpu = true;             ///< arm RLIMIT_CPU per job
-  /// Re-run a job whose worker crashed (fresh worker, tightened options,
-  /// same retry budget as transient failures). Off by default: a crash is
-  /// usually deterministic and retrying doubles the blast radius.
-  bool retry_crashed = false;
 };
 
 /// Point-in-time counters (all lifetime totals except the two gauges).

@@ -24,6 +24,11 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
+/// Respawn backoff of a crash-looping slot: doubles per consecutive crash
+/// from the base, capped at the max.
+constexpr double kRespawnBackoffBaseSeconds = 0.05;
+constexpr double kRespawnBackoffMaxSeconds = 2.0;
+
 [[nodiscard]] Clock::duration seconds_of(double s) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(std::max(0.0, s)));
@@ -170,10 +175,8 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
     // Kernel CPU backstop: heartbeats prove liveness and the parent's job
     // deadline catches hangs, but both need the supervisor to be healthy;
     // RLIMIT_CPU fires even if it is not. Soft-only, re-armed per job.
-    if (cfg.rlimit_cpu) {
-      util::limit_cpu_seconds_from_now(timeout + cfg.hang_grace_seconds +
-                                       1.0);
-    }
+    util::limit_cpu_seconds_from_now(
+        timeout + cfg.server_config->hang_grace_seconds + 1.0);
 
     const auto handler = cfg.handlers->find(request.type);
     if (handler == cfg.handlers->end()) {
@@ -237,8 +240,8 @@ int worker_child_main(const SupervisorConfig& cfg, int job_fd, int result_fd,
                       int crash_fd) {
   util::install_crash_handler(crash_fd, cfg.build.c_str());
   util::crash_set_stage("startup");
-  if (cfg.worker_memory_bytes > 0) {
-    util::limit_address_space(cfg.worker_memory_bytes);
+  if (cfg.server_config->worker_memory_bytes > 0) {
+    util::limit_address_space(cfg.server_config->worker_memory_bytes);
   }
   std::signal(SIGPIPE, SIG_IGN);
 
@@ -255,7 +258,8 @@ int worker_child_main(const SupervisorConfig& cfg, int job_fd, int result_fd,
   if (!child_send(st, ready)) return 1;
 
   const int heartbeat_ms = std::max(
-      10, static_cast<int>(cfg.heartbeat_interval_seconds * 1000.0));
+      10, static_cast<int>(
+              cfg.server_config->heartbeat_interval_seconds * 1000.0));
   std::thread reader(
       [&st, job_fd, heartbeat_ms] { child_reader_loop(st, job_fd, heartbeat_ms); });
 
@@ -478,8 +482,8 @@ IsolatedVerdict Supervisor::retire_worker(std::size_t slot_index,
   ++crashes_;
   ++slot.consecutive_crashes;
   const double backoff =
-      std::min(config_.respawn_backoff_max_seconds,
-               config_.respawn_backoff_base_seconds *
+      std::min(kRespawnBackoffMaxSeconds,
+               kRespawnBackoffBaseSeconds *
                    static_cast<double>(1u << std::min(
                        slot.consecutive_crashes - 1, 16)));
   slot.earliest_respawn = Clock::now() + seconds_of(backoff);
@@ -523,9 +527,11 @@ IsolatedVerdict Supervisor::run_job(
   const auto start = Clock::now();
   const auto job_deadline =
       start +
-      seconds_of(job.timeout_seconds + config_.hang_grace_seconds);
-  auto heartbeat_deadline =
-      start + seconds_of(config_.heartbeat_timeout_seconds);
+      seconds_of(job.timeout_seconds +
+                 config_.server_config->hang_grace_seconds);
+  const auto heartbeat_timeout =
+      seconds_of(config_.server_config->heartbeat_timeout_seconds);
+  auto heartbeat_deadline = start + heartbeat_timeout;
   bool cancel_sent = false;
   std::string payload;
 
@@ -541,8 +547,7 @@ IsolatedVerdict Supervisor::run_job(
     const auto now = Clock::now();
 
     if (got == util::FrameRead::kFrame) {
-      heartbeat_deadline =
-          now + seconds_of(config_.heartbeat_timeout_seconds);
+      heartbeat_deadline = now + heartbeat_timeout;
       // Raw event fast path ('E' + name + '\n' + fields JSON): hand the
       // already-serialized fields through verbatim — chunk frames are the
       // hot path and never need parsing here.

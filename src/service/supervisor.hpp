@@ -56,16 +56,11 @@ namespace softfet::service {
 
 struct SupervisorConfig {
   std::size_t slots = 2;
-  double heartbeat_interval_seconds = 0.1;
-  double heartbeat_timeout_seconds = 2.0;
-  double hang_grace_seconds = 2.0;
-  double respawn_backoff_base_seconds = 0.05;
-  double respawn_backoff_max_seconds = 2.0;
-  std::size_t worker_memory_bytes = 0;  ///< RLIMIT_AS per worker (0 = off)
-  bool rlimit_cpu = true;               ///< arm RLIMIT_CPU per job
   std::string crash_dir;  ///< last-gasp scratch files ("" = temp dir)
   std::string build;      ///< build stamp embedded in crash reports
-  const ServerConfig* server_config = nullptr;   ///< handler environment
+  /// Handler environment and the process-isolation knobs (heartbeats,
+  /// hang grace, worker memory cap).
+  const ServerConfig* server_config = nullptr;
   const std::map<std::string, JobHandler>* handlers = nullptr;
 };
 

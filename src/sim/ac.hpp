@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "numeric/complex_lu.hpp"
+#include "numeric/dense_lu.hpp"
 #include "sim/circuit.hpp"
 #include "sim/options.hpp"
 
@@ -75,7 +75,9 @@ class AcResult {
 };
 
 /// Linearize at the DC operating point and solve at each frequency [Hz].
-/// AC magnitudes come from sources' SourceSpec ac values.
+/// AC magnitudes come from sources' SourceSpec ac values. options.budget
+/// bounds the operating point and the sweep together (checked once per
+/// frequency point); tripping it throws softfet::BudgetExceededError.
 [[nodiscard]] AcResult ac_sweep(Circuit& circuit,
                                 const std::vector<double>& frequencies,
                                 const SimOptions& options = {});

@@ -4,6 +4,8 @@
 #include <numbers>
 
 #include "sim/analyses.hpp"
+#include "sim/detail.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -66,8 +68,8 @@ std::vector<double> decade_frequencies(double f_start, double f_stop,
 
 AcResult ac_sweep(Circuit& circuit, const std::vector<double>& frequencies,
                   const SimOptions& options) {
-  circuit.prepare();
-  const OpResult op = dc_operating_point(circuit, options);
+  const util::BudgetTimer budget(options.budget);  // bounds OP and sweep
+  const OpResult op = detail::operating_point(circuit, options, budget);
 
   const std::size_t n = circuit.unknown_count();
   const std::size_t voltage_unknowns = circuit.node_count() - 1;
@@ -77,6 +79,10 @@ AcResult ac_sweep(Circuit& circuit, const std::vector<double>& frequencies,
   std::vector<numeric::Complex> rhs(n);
   numeric::ComplexLu lu;  // reused: factor() recycles its storage per point
   for (const double f : frequencies) {
+    if (const util::BudgetStop stop = budget.check_now();
+        stop != util::BudgetStop::kNone) {
+      throw BudgetExceededError("ac sweep", stop);
+    }
     if (!(f >= 0.0)) throw Error("ac_sweep: negative frequency");
     const double omega = 2.0 * std::numbers::pi * f;
     matrix.set_zero();

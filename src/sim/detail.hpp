@@ -7,6 +7,7 @@
 #include "sim/circuit.hpp"
 #include "sim/device.hpp"
 #include "sim/options.hpp"
+#include "sim/result.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 
@@ -26,6 +27,12 @@ int solve_dc(Circuit& circuit, const SimOptions& options,
              std::vector<double>& x, numeric::LinearSolver& solver,
              const util::BudgetTimer& budget,
              SolverDiagnostics* diag = nullptr);
+
+/// dc_operating_point under a budget the caller armed, so an analysis that
+/// starts from the operating point (AC) bounds both with one timer.
+[[nodiscard]] OpResult operating_point(Circuit& circuit,
+                                       const SimOptions& options,
+                                       const util::BudgetTimer& budget);
 
 /// Copy a LinearSolver's lifetime counters (analyses, refactors, fill
 /// ratio, Krylov work) into the diagnostics' plain mirror fields.

@@ -98,14 +98,12 @@ void sample_row_into(const Circuit& circuit, const std::vector<double>& x,
   }
 }
 
-}  // namespace detail
-
-OpResult dc_operating_point(Circuit& circuit, const SimOptions& options) {
+OpResult operating_point(Circuit& circuit, const SimOptions& options,
+                         const util::BudgetTimer& budget) {
   circuit.prepare();
   numeric::LinearSolver solver(options.solver_config());
   std::vector<double> x(circuit.unknown_count(), 0.0);
   SolverDiagnostics diag;
-  const util::BudgetTimer budget(options.budget);
   const int iterations =
       detail::solve_dc(circuit, options, x, solver, budget, &diag);
 
@@ -116,6 +114,13 @@ OpResult dc_operating_point(Circuit& circuit, const SimOptions& options) {
   detail::fill_solver_stats(diag, solver);
   result.diagnostics = std::move(diag);
   return result;
+}
+
+}  // namespace detail
+
+OpResult dc_operating_point(Circuit& circuit, const SimOptions& options) {
+  return detail::operating_point(circuit, options,
+                                 util::BudgetTimer(options.budget));
 }
 
 }  // namespace softfet::sim

@@ -9,10 +9,7 @@ SignalTable::SignalTable(std::vector<std::string> names)
     : names_(std::move(names)), columns_(names_.size()) {}
 
 bool SignalTable::has(const std::string& name) const {
-  for (const auto& n : names_) {
-    if (util::iequals(n, name)) return true;
-  }
-  return false;
+  return !select({name}).empty();
 }
 
 const std::vector<double>& SignalTable::signal(const std::string& name) const {
@@ -30,6 +27,19 @@ const std::vector<double>& SignalTable::signal(const std::string& name) const {
   }
   throw Error("SignalTable: no signal '" + name + "' (have: " + candidates +
               ")");
+}
+
+std::vector<std::size_t> SignalTable::select(
+    const std::vector<std::string>& wanted) const {
+  std::vector<std::size_t> selected;
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    bool take = wanted.empty();
+    for (const auto& name : wanted) {
+      take = take || util::iequals(name, names_[i]);
+    }
+    if (take) selected.push_back(i);
+  }
+  return selected;
 }
 
 void SignalTable::append_row(const std::vector<double>& row) {

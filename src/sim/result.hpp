@@ -26,6 +26,16 @@ class SignalTable {
   /// (listing close candidates).
   [[nodiscard]] const std::vector<double>& signal(const std::string& name) const;
 
+  /// Indices of the columns named in `wanted` (case-insensitive), in table
+  /// order; every column when `wanted` is empty.
+  [[nodiscard]] std::vector<std::size_t> select(
+      const std::vector<std::string>& wanted) const;
+
+  /// Samples of column `index` (an index from select()).
+  [[nodiscard]] const std::vector<double>& column(std::size_t index) const {
+    return columns_[index];
+  }
+
   /// Append one sample row (size must equal names().size()).
   void append_row(const std::vector<double>& row);
 

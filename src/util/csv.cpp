@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace softfet::util {
 
@@ -41,50 +40,6 @@ void CsvWriter::write_row(const std::vector<double>& values) {
   }
   out_ << '\n';
   ++rows_;
-}
-
-NdjsonWriter::NdjsonWriter(std::ostream& out, std::vector<std::string> columns)
-    : out_(out), columns_(std::move(columns)) {
-  if (columns_.empty()) throw Error("NdjsonWriter: no columns");
-}
-
-void NdjsonWriter::write_row(const std::vector<double>& values) {
-  if (values.size() != columns_.size()) {
-    throw Error("NdjsonWriter: row has " + std::to_string(values.size()) +
-                " fields, expected " + std::to_string(columns_.size()));
-  }
-  char buf[32];
-  out_ << '{';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out_ << ',';
-    std::snprintf(buf, sizeof buf, "%.9g", values[i]);
-    out_ << '"' << json_escape(columns_[i]) << "\":" << buf;
-  }
-  out_ << "}\n";
-  ++rows_;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace softfet::util

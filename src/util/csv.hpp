@@ -1,4 +1,4 @@
-// CSV / NDJSON writers for waveforms and experiment results.
+// CSV writer for waveforms and experiment results.
 #pragma once
 
 #include <ostream>
@@ -26,24 +26,5 @@ class CsvWriter {
 
 /// Escape a string for a CSV field (quotes + commas).
 [[nodiscard]] std::string csv_escape(const std::string& field);
-
-/// Streams one JSON object per line (NDJSON): numeric fields keyed by the
-/// column names given at construction.
-class NdjsonWriter {
- public:
-  NdjsonWriter(std::ostream& out, std::vector<std::string> columns);
-
-  void write_row(const std::vector<double>& values);
-
-  [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
-
- private:
-  std::ostream& out_;
-  std::vector<std::string> columns_;
-  std::size_t rows_ = 0;
-};
-
-/// Escape a string for a JSON string literal (quotes, backslash, control).
-[[nodiscard]] std::string json_escape(const std::string& text);
 
 }  // namespace softfet::util

@@ -37,6 +37,20 @@ TEST(NetlistParser, FirstLineIsAlwaysTitleUnlessDirective) {
   EXPECT_EQ(ast2.top_devices.size(), 1u);
 }
 
+TEST(NetlistParser, CommentFirstLineIsTheTitle) {
+  // A '*' first line is the title, not a comment to skip: the card after
+  // it must stay a card. Leading blank lines are still skipped.
+  const auto ast = nl::parse(
+      "\n* divider\nV1 a 0 1\nR1 a b 1k\nR2 b 0 1k\n.op\n");
+  EXPECT_EQ(ast.title, "divider");
+  ASSERT_EQ(ast.top_devices.size(), 3u);
+  EXPECT_EQ(ast.top_devices[0].tokens[0], "V1");
+  // Later '*' lines stay comments.
+  const auto ast2 = nl::parse("t\n* note\nR1 a 0 1k\n");
+  EXPECT_EQ(ast2.title, "t");
+  EXPECT_EQ(ast2.top_devices.size(), 1u);
+}
+
 TEST(NetlistParser, ParenthesesActAsWhitespace) {
   const auto ast = nl::parse("t\nV1 in 0 PULSE(0 1 1n 2n 2n 3n)\n");
   const auto& tokens = ast.top_devices[0].tokens;

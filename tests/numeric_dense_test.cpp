@@ -3,7 +3,6 @@
 #include <random>
 
 #include "numeric/dense_lu.hpp"
-#include "numeric/dense_matrix.hpp"
 #include "util/error.hpp"
 
 namespace sn = softfet::numeric;

@@ -220,6 +220,7 @@ TEST(Retry, Fnv1a64MatchesReference) {
 // ---------------------------------------------------------------------------
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -380,4 +381,76 @@ TEST(Json, UnpairedSurrogateEscapeIsRejected) {
   EXPECT_EQ(event.string_or("code", ""), ss::kRejectInvalid);
   EXPECT_EQ(event.number_or("line", -1), 1.0);
   EXPECT_GT(event.number_or("column", -1), 0.0);
+}
+
+namespace {
+
+/// An RC ladder deck of `sections` 1k/1p sections driven by V1 (DC 0,
+/// AC 1), followed by the `analyses` cards.
+[[nodiscard]] std::string rc_ladder_deck(int sections,
+                                         const std::string& analyses) {
+  std::string deck = "rc ladder\nV1 n0 0 DC 0 AC 1\n";
+  for (int k = 1; k <= sections; ++k) {
+    const std::string a = "n" + std::to_string(k - 1);
+    const std::string b = "n" + std::to_string(k);
+    deck += "R" + std::to_string(k) + " " + a + " " + b + " 1k\n";
+    deck += "C" + std::to_string(k) + " " + b + " 0 1p\n";
+  }
+  return deck + analyses + "\n.end\n";
+}
+
+[[nodiscard]] ss::JsonValue netlist_job(const std::string& id,
+                                        const std::string& deck) {
+  ss::JsonValue req = ss::JsonValue::object();
+  req.set("id", ss::JsonValue::string(id));
+  req.set("type", ss::JsonValue::string("netlist"));
+  req.set("netlist", ss::JsonValue::string(deck));
+  return req;
+}
+
+}  // namespace
+
+// An .ac sweep runs under the job's budget like every other analysis: a
+// 90 001-point sweep that takes seconds ends in a structured budget error
+// instead of running to the end.
+TEST(Protocol, AcJobStopsAtItsTimeout) {
+  HintCollector out;  // outlives the server, which may still emit into it
+  const auto owned = std::make_unique<ss::Server>(ss::ServerConfig{});
+  ss::Server& server = *owned;
+  ss::JsonValue req =
+      netlist_job("ac1", rc_ladder_deck(60, ".ac dec 10000 1 1e9"));
+  req.set("timeout_seconds", ss::JsonValue::number(0.1));
+  server.handle_line(req.dump(), out.sink());
+  ASSERT_TRUE(out.await("ac1", "error"));
+  const auto events = out.events("ac1");
+  EXPECT_EQ(events.back().string_or("code", ""), ss::kErrorBudget);
+  server.wait_idle();
+}
+
+// "signals" selects the streamed columns of every sweep; for .ac, v(x)
+// selects mag(v(x)). Names match case-insensitively.
+TEST(Protocol, SignalsFilterTranAndAcChunks) {
+  HintCollector out;  // outlives the server, which may still emit into it
+  const auto owned = std::make_unique<ss::Server>(ss::ServerConfig{});
+  ss::Server& server = *owned;
+  ss::JsonValue req =
+      netlist_job("s1", rc_ladder_deck(3, ".tran 1n 10n\n.ac dec 2 1k 1meg"));
+  ss::JsonValue signals = ss::JsonValue::array();
+  signals.push(ss::JsonValue::string("V(n2)"));
+  req.set("signals", std::move(signals));
+  server.handle_line(req.dump(), out.sink());
+  ASSERT_TRUE(out.await("s1", "result"));
+  server.wait_idle();
+
+  std::map<std::string, std::vector<std::string>> columns;
+  for (const auto& ev : out.events("s1")) {
+    if (ev.string_or("event", "") != "chunk") continue;
+    std::vector<std::string> names;
+    for (const auto& name : ev.get("columns")->items()) {
+      names.push_back(name.as_string());
+    }
+    columns[ev.string_or("kind", "")] = names;
+  }
+  EXPECT_EQ(columns["tran"], (std::vector<std::string>{"time", "v(n2)"}));
+  EXPECT_EQ(columns["ac"], (std::vector<std::string>{"freq", "mag(v(n2))"}));
 }

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +39,7 @@
 #include "devices/sources.hpp"
 #include "fault_injection.hpp"
 #include "netlist/elaborate.hpp"
-#include "netlist/parser.hpp"
+#include "netlist/run.hpp"
 #include "service/server.hpp"
 #include "service/supervisor.hpp"
 #include "sim/analyses.hpp"
@@ -464,23 +465,45 @@ TEST(ServiceSoak, ThousandsOfFaultInjectedJobsKeepTheContract) {
 
 namespace {
 
-/// Stream one RC netlist through a server under `config` and demand the
-/// reassembled chunked waveform be bitwise-equal to the direct library
-/// call. Shared by the thread-mode and process-isolation cases: the
+/// `rc_netlist(variant)` with its JSON `\n` escapes decoded.
+[[nodiscard]] std::string rc_netlist_text(int variant) {
+  std::string text = rc_netlist(variant);
+  for (std::size_t nl = text.find("\\n"); nl != std::string::npos;
+       nl = text.find("\\n")) {
+    text.replace(nl, 2, "\n");
+  }
+  return text;
+}
+
+/// The text of one of the example netlists shipped with the repository.
+[[nodiscard]] std::string example_netlist(const std::string& name) {
+  std::ifstream file(fs::path(SOFTFET_SOURCE_DIR) / "examples" / "netlists" /
+                     name);
+  EXPECT_TRUE(file) << "cannot open example netlist " << name;
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// Differential check: stream `deck` through a server under `config` and
+/// demand the reassembled chunked waveform and the .measure values be
+/// bitwise-equal to the direct library calls, and netlist::run's as well.
+/// Shared by the thread-mode and process-isolation cases: the
 /// client-visible numbers must not depend on where the handler ran.
-void check_netlist_bitwise(ss::ServerConfig config) {
+void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck) {
   config.chunk_rows = 7;  // force multi-chunk reassembly
   const auto owned = std::make_unique<ss::Server>(config);
   ss::Server& server = *owned;
 
+  ss::JsonValue request = ss::JsonValue::object();
+  request.set("id", ss::JsonValue::string("deck"));
+  request.set("type", ss::JsonValue::string("netlist"));
+  request.set("netlist", ss::JsonValue::string(deck));
   Transcript out;
-  server.handle_line(
-      "{\"id\":\"rc\",\"type\":\"netlist\",\"netlist\":\"" + rc_netlist(0) +
-          "\"}",
-      out.sink());
+  server.handle_line(request.dump(), out.sink());
   server.wait_idle();
 
-  const auto events = out.events("rc");
+  const auto events = out.events("deck");
   ASSERT_FALSE(events.empty());
   ASSERT_EQ(events.back().string_or("event", ""), "result");
 
@@ -511,21 +534,38 @@ void check_netlist_bitwise(ss::ServerConfig config) {
   ASSERT_FALSE(columns.empty());
   EXPECT_EQ(columns.front(), "time");
 
-  // The direct library call under the same options the service arms:
-  // default SimOptions plus dtmax = 10 * tstep (the handler's rule).
-  std::string netlist_text = rc_netlist(0);
-  for (std::size_t nl = netlist_text.find("\\n"); nl != std::string::npos;
-       nl = netlist_text.find("\\n")) {
-    netlist_text.replace(nl, 2, "\n");
-  }
-  const auto ast = softfet::netlist::parse(netlist_text);
-  auto net = softfet::netlist::elaborate(ast);
-  net.circuit->prepare();
+  // The direct library call under the rule netlist::run documents:
+  // default SimOptions plus dtmax = 10 * tstep.
+  auto net = softfet::netlist::compile_netlist(deck);
   softfet::sim::SimOptions options;
   options.dtmax = net.tran->tstep * 10.0;
   const auto tran =
       softfet::sim::run_transient(*net.circuit, net.tran->tstop, options);
+  const auto measures =
+      softfet::netlist::evaluate_measures(net.measures, tran);
 
+  // netlist::run, the path both entry points take, gives the same doubles.
+  auto fresh = softfet::netlist::compile_netlist(deck);
+  std::size_t tables = 0;
+  softfet::netlist::run(
+      fresh, {}, [&](const softfet::netlist::AnalysisTable& t) {
+        ++tables;
+        ASSERT_EQ(t.kind, softfet::netlist::Analysis::kTran);
+        EXPECT_EQ(t.axis, tran.time);
+        ASSERT_EQ(t.table.names(), tran.table.names());
+        for (std::size_t c = 0; c < t.table.columns(); ++c) {
+          EXPECT_EQ(t.table.column(c), tran.table.column(c))
+              << t.table.names()[c];
+        }
+        ASSERT_EQ(t.measures.size(), measures.size());
+        for (std::size_t m = 0; m < measures.size(); ++m) {
+          EXPECT_EQ(t.measures[m].value, measures[m].value)
+              << measures[m].name;
+        }
+      });
+  EXPECT_EQ(tables, 1u);
+
+  // The served chunks and .measure values against the direct call.
   ASSERT_EQ(rows_seen, tran.time.size());
   for (std::size_t c = 0; c < columns.size(); ++c) {
     const std::vector<double>& direct =
@@ -540,6 +580,11 @@ void check_netlist_bitwise(ss::ServerConfig config) {
   ASSERT_NE(summary, nullptr);
   EXPECT_EQ(summary->number_or("accepted_steps", -1),
             static_cast<double>(tran.accepted_steps));
+  const ss::JsonValue* served = events.back().get("measures");
+  ASSERT_EQ(served != nullptr, !measures.empty());
+  for (const auto& m : measures) {
+    EXPECT_EQ(served->number_or(m.name, -1), m.value) << m.name;
+  }
 }
 
 /// Kill-and-restart Monte-Carlo resume under `config` (state_dir is filled
@@ -635,7 +680,15 @@ void check_mc_resume(ss::ServerConfig config, const std::string& tag) {
 TEST(ServiceSoak, NetlistResultsAreBitwiseEqualToDirectCalls) {
   ss::ServerConfig config;
   config.workers = 1;
-  check_netlist_bitwise(config);
+  check_netlist_bitwise(config, rc_netlist_text(0));
+}
+
+// ROADMAP item 6's differential check on the paper's Fig. 4 deck: the
+// service streams exactly the doubles and .measure values of a direct run.
+TEST(ServiceSoak, InverterDeckMatchesTheDirectRunBitwise) {
+  ss::ServerConfig config;
+  config.workers = 1;
+  check_netlist_bitwise(config, example_netlist("softfet_inverter.sp"));
 }
 
 TEST(ServiceSoak, KilledDaemonResumesMonteCarloBitwise) {
@@ -911,7 +964,12 @@ TEST(ServiceHardFault, FrozenWorkerIsKilledForHeartbeatSilence) {
 }
 
 TEST(ServiceHardFault, NetlistResultsBitwiseUnderProcessIsolation) {
-  check_netlist_bitwise(process_config(1));
+  check_netlist_bitwise(process_config(1), rc_netlist_text(0));
+}
+
+TEST(ServiceHardFault, InverterDeckMatchesTheDirectRunUnderProcessIsolation) {
+  check_netlist_bitwise(process_config(1),
+                        example_netlist("softfet_inverter.sp"));
 }
 
 TEST(ServiceHardFault, KilledDaemonResumesBitwiseUnderProcessIsolation) {

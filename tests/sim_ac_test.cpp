@@ -2,8 +2,10 @@
 // functions.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "devices/capacitor.hpp"
 #include "devices/controlled.hpp"
@@ -13,8 +15,10 @@
 #include "devices/sources.hpp"
 #include "devices/tech40.hpp"
 #include "netlist/elaborate.hpp"
-#include "numeric/complex_lu.hpp"
+#include "numeric/dense_lu.hpp"
 #include "sim/ac.hpp"
+#include "sim/device.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 
 namespace ss = softfet::sim;
@@ -175,4 +179,79 @@ TEST(AcSweep, QuietSourceGivesZeroResponse) {
   c.add<sd::Resistor>("R1", in, ss::kGroundNode, 1e3);
   const auto result = ss::ac_sweep(c, {1e6});
   EXPECT_NEAR(result.magnitude("v(in)")[0], 0.0, 1e-12);
+}
+
+namespace {
+
+/// Trips a cancel token from its AC stamp: the operating point is done by
+/// then, so only the sweep's own budget check can see the cancel.
+class CancelOnAcStamp final : public ss::Device {
+ public:
+  CancelOnAcStamp(std::string name, softfet::util::CancelToken& token)
+      : Device(std::move(name)), token_(token) {}
+  void setup(ss::Circuit&) override {}
+  void load(const std::vector<double>&, ss::Stamper&,
+            const ss::LoadContext&) override {}
+  void load_ac(const std::vector<double>&, ss::AcStamper&, double) override {
+    token_.request();
+  }
+
+ private:
+  softfet::util::CancelToken& token_;
+};
+
+/// A 60-section RC ladder: every frequency point factors a 62-unknown
+/// complex system.
+void add_rc_ladder(ss::Circuit& c) {
+  auto spec = sd::SourceSpec::dc(0.0);
+  spec.set_ac_magnitude(1.0);
+  auto prev = c.node("n0");
+  c.add<sd::VSource>("V1", prev, ss::kGroundNode, spec);
+  for (int k = 1; k <= 60; ++k) {
+    const auto node = c.node("n" + std::to_string(k));
+    c.add<sd::Resistor>("R" + std::to_string(k), prev, node, 1e3);
+    c.add<sd::Capacitor>("C" + std::to_string(k), node, ss::kGroundNode,
+                         1e-12);
+    prev = node;
+  }
+}
+
+}  // namespace
+
+TEST(AcSweep, CancelDuringTheSweepThrows) {
+  softfet::util::CancelToken token;
+  ss::Circuit c;
+  add_rc_ladder(c);
+  c.add<CancelOnAcStamp>("Xcancel", token);
+  ss::SimOptions options;
+  options.budget.cancel = &token;
+  try {
+    (void)ss::ac_sweep(c, ss::decade_frequencies(1.0, 1e9, 10), options);
+    FAIL() << "a cancel requested mid-sweep must stop the sweep";
+  } catch (const softfet::BudgetExceededError& e) {
+    EXPECT_EQ(e.stop(), softfet::util::BudgetStop::kCancel);
+    EXPECT_NE(std::string(e.what()).find("ac sweep"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AcSweep, WallBudgetBoundsTheSweep) {
+  ss::Circuit c;
+  add_rc_ladder(c);
+  // 90 001 points take seconds; the 50 ms budget must stop the sweep
+  // (or, on a very slow host, the operating point before it).
+  const auto freqs = ss::decade_frequencies(1.0, 1e9, 10000);
+  ss::SimOptions options;
+  options.budget.max_wall_seconds = 0.05;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)ss::ac_sweep(c, freqs, options);
+    FAIL() << "the sweep ignored its wall-clock budget";
+  } catch (const softfet::BudgetExceededError& e) {
+    EXPECT_EQ(e.stop(), softfet::util::BudgetStop::kWallClock);
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
 }

@@ -54,29 +54,6 @@ TEST(Table, WidthMismatchThrows) {
   EXPECT_THROW(table.add_row({"only-one"}), softfet::Error);
 }
 
-TEST(Ndjson, RowsAreJsonObjects) {
-  std::ostringstream out;
-  su::NdjsonWriter writer(out, {"t", "v(out)"});
-  writer.write_row({1e-9, 0.5});
-  writer.write_row({2e-9, 1.0});
-  EXPECT_EQ(out.str(),
-            "{\"t\":1e-09,\"v(out)\":0.5}\n{\"t\":2e-09,\"v(out)\":1}\n");
-  EXPECT_EQ(writer.rows_written(), 2u);
-}
-
-TEST(Ndjson, WidthMismatchThrows) {
-  std::ostringstream out;
-  su::NdjsonWriter writer(out, {"a"});
-  EXPECT_THROW(writer.write_row({1.0, 2.0}), softfet::Error);
-}
-
-TEST(Ndjson, JsonEscape) {
-  EXPECT_EQ(su::json_escape("plain"), "plain");
-  EXPECT_EQ(su::json_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(su::json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(su::json_escape("back\\slash"), "back\\\\slash");
-}
-
 TEST(Table, FmtG) {
   EXPECT_EQ(su::fmt_g(0.000123), "0.000123");
   EXPECT_EQ(su::fmt_g(1234567.0, 3), "1.23e+06");
