@@ -11,14 +11,6 @@ constexpr KrylovOptions kKrylov{.rtol = 1e-12, .max_iterations = 120};
 
 }  // namespace
 
-const char* to_string(SolverPolicy policy) {
-  switch (policy) {
-    case SolverPolicy::kDirect: return "direct";
-    case SolverPolicy::kIterative: return "iterative";
-  }
-  return "unknown";
-}
-
 std::vector<double> LinearSolver::solve(const SparseMatrix& a,
                                         const std::vector<double>& b) {
   const bool dense =

@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "numeric/dense_lu.hpp"
 #include "numeric/krylov.hpp"
-#include "numeric/ordering.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
 
@@ -41,18 +39,10 @@ enum class SolverPolicy {
   kIterative,
 };
 
-[[nodiscard]] const char* to_string(SolverPolicy policy);
-
-/// Full facade configuration. SimOptions carries the kind/policy/ordering
-/// knobs.
+/// Full facade configuration. SimOptions carries the kind/policy knobs.
 struct LinearSolverConfig {
   SolverKind kind = SolverKind::kAuto;
   SolverPolicy policy = SolverPolicy::kDirect;
-  OrderingKind ordering = OrderingKind::kAuto;
-  /// Optional shared AMD-permutation memo (see numeric::OrderingCache).
-  /// Null (the default) computes orderings per solver, the historical
-  /// behavior; attaching one never changes results, only latency.
-  std::shared_ptr<OrderingCache> ordering_cache;
 };
 
 /// Counters describing the linear-solve work of one analysis run.
@@ -85,10 +75,7 @@ class LinearSolver {
     return config;
   }
 
-  explicit LinearSolver(const LinearSolverConfig& config) : config_(config) {
-    sparse_.set_ordering(config.ordering);
-    sparse_.set_ordering_cache(config.ordering_cache);
-  }
+  explicit LinearSolver(const LinearSolverConfig& config) : config_(config) {}
 
   /// Factor `a` (reusing cached structure when the pattern is unchanged)
   /// and solve a·x = b. Under an iterative policy the factorization may be

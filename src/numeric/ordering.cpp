@@ -28,15 +28,6 @@ class MarkSet {
 
 }  // namespace
 
-const char* to_string(OrderingKind ordering) {
-  switch (ordering) {
-    case OrderingKind::kNatural: return "natural";
-    case OrderingKind::kAmd: return "amd";
-    case OrderingKind::kAuto: return "auto";
-  }
-  return "unknown";
-}
-
 std::vector<std::vector<std::size_t>> pattern_adjacency(
     const SparseMatrix& a) {
   const std::size_t n = a.size();
@@ -246,87 +237,6 @@ std::size_t symbolic_fill_natural(
   std::vector<std::size_t> order(adjacency.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   return symbolic_fill(adjacency, order);
-}
-
-namespace {
-
-/// Flatten a SparseMatrix pattern into (row_ptr, cols) — the exact-match
-/// cache key. Rows hold ascending columns, so the key is canonical for a
-/// given pattern.
-void pattern_key(const SparseMatrix& a, std::vector<std::size_t>& row_ptr,
-                 std::vector<std::size_t>& cols) {
-  const std::size_t n = a.size();
-  row_ptr.clear();
-  row_ptr.reserve(n + 1);
-  cols.clear();
-  row_ptr.push_back(0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& e : a.row(i)) cols.push_back(e.col);
-    row_ptr.push_back(cols.size());
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<const std::vector<std::size_t>> OrderingCache::order_for(
-    const SparseMatrix& a) {
-  std::vector<std::size_t> row_ptr;
-  std::vector<std::size_t> cols;
-  pattern_key(a, row_ptr, cols);
-
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++tick_;
-    for (auto& entry : entries_vec_) {
-      if (entry.row_ptr == row_ptr && entry.cols == cols) {
-        entry.last_used = tick_;
-        ++hits_;
-        return entry.order;
-      }
-    }
-    ++misses_;
-  }
-
-  // Compute outside the lock: AMD on a big mesh is the expensive part, and
-  // two threads racing on the same new pattern both produce the identical
-  // permutation (amd_order is deterministic), so a duplicate store is
-  // harmless — the second one just replaces an equal entry.
-  auto order =
-      std::make_shared<const std::vector<std::size_t>>(amd_order(a));
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& entry : entries_vec_) {
-    if (entry.row_ptr == row_ptr && entry.cols == cols) {
-      entry.last_used = ++tick_;
-      return entry.order;  // racer won; identical contents
-    }
-  }
-  if (entries_vec_.size() >= max_entries_) {
-    // Evict the least recently used entry to stay within the bound.
-    auto lru = entries_vec_.begin();
-    for (auto it = entries_vec_.begin(); it != entries_vec_.end(); ++it) {
-      if (it->last_used < lru->last_used) lru = it;
-    }
-    entries_vec_.erase(lru);
-  }
-  entries_vec_.push_back(Entry{std::move(row_ptr), std::move(cols), order,
-                               ++tick_});
-  return order;
-}
-
-std::size_t OrderingCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t OrderingCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::size_t OrderingCache::entries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_vec_.size();
 }
 
 }  // namespace softfet::numeric

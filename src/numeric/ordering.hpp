@@ -14,29 +14,16 @@
 // which the bitwise-reproducibility contract of the simulator requires.
 //
 // symbolic_fill() predicts nnz(L+U) of a no-pivoting elimination of the
-// symmetrized pattern under a given order. It is how benchmarks compare
-// orderings without paying for the bad factorization, and how the solver's
-// auto policy can judge a factorization it has not yet committed to.
+// symmetrized pattern under a given order. It is how benchmarks and tests
+// compare orderings without paying for the bad factorization.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "numeric/sparse_matrix.hpp"
 
 namespace softfet::numeric {
-
-/// Which column/row ordering a factorization applies ahead of its symbolic
-/// phase.
-enum class OrderingKind {
-  kNatural,  ///< stamp order — exactly the pre-ordering behavior
-  kAmd,      ///< always apply the AMD permutation
-  kAuto,     ///< AMD at or above SparseLu::kAutoOrderingThreshold unknowns
-};
-
-[[nodiscard]] const char* to_string(OrderingKind ordering);
 
 /// Symmetrized adjacency (union of the pattern and its transpose, no self
 /// loops) of a square sparse pattern; index = node, values sorted ascending.
@@ -63,51 +50,5 @@ enum class OrderingKind {
 /// symbolic_fill of the natural (identity) order.
 [[nodiscard]] std::size_t symbolic_fill_natural(
     const std::vector<std::vector<std::size_t>>& adjacency);
-
-/// Cross-solver memo of AMD permutations, keyed by the *exact* sparsity
-/// pattern (row pointers + column indices, compared bitwise — no hash
-/// collisions by construction). amd_order is a pure deterministic function
-/// of the pattern, so a hit returns exactly the permutation a fresh
-/// computation would, keeping results bitwise identical whether or not the
-/// cache is attached.
-///
-/// Built for the simulation service: every request elaborating the same
-/// netlist produces the same MNA pattern, and the AMD analysis of a big
-/// mesh dominates the first factorization. One OrderingCache instance per
-/// cached netlist (shared via SimOptions::ordering_cache) lets later
-/// requests skip straight to the numeric work. Thread-safe; entries are
-/// LRU-bounded so a daemon serving many patterns stays at fixed memory.
-class OrderingCache {
- public:
-  explicit OrderingCache(std::size_t max_entries = 8)
-      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-  /// The AMD permutation for `a`'s symmetrized pattern: served from the
-  /// memo on an exact pattern match, computed (and stored) otherwise.
-  [[nodiscard]] std::shared_ptr<const std::vector<std::size_t>> order_for(
-      const SparseMatrix& a);
-
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t misses() const;
-  [[nodiscard]] std::size_t entries() const;
-  [[nodiscard]] std::size_t max_entries() const noexcept {
-    return max_entries_;
-  }
-
- private:
-  struct Entry {
-    std::vector<std::size_t> row_ptr;  ///< pattern key: per-row extents...
-    std::vector<std::size_t> cols;     ///< ...and flattened column indices
-    std::shared_ptr<const std::vector<std::size_t>> order;
-    std::size_t last_used = 0;
-  };
-
-  std::size_t max_entries_;
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_vec_;
-  std::size_t tick_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
 
 }  // namespace softfet::numeric

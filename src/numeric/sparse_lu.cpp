@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 
+#include "numeric/ordering.hpp"
 #include "util/error.hpp"
 
 namespace softfet::numeric {
@@ -25,17 +25,11 @@ void SparseLu::analyze(const SparseMatrix& a) {
   // stays bit-for-bit (and allocation-for-allocation) the pre-ordering
   // code; the AMD path renumbers both rows and columns symmetrically, and
   // partial pivoting below still permutes rows freely on top of it.
-  const bool reorder =
-      ordering_ == OrderingKind::kAmd ||
-      (ordering_ == OrderingKind::kAuto && n >= kAutoOrderingThreshold);
+  const bool reorder = n >= kAutoOrderingThreshold;
   q_.clear();
   qinv_.clear();
   if (reorder) {
-    // A shared OrderingCache memoizes AMD across solver instances (the
-    // simulation service reuses it across requests of one netlist). The
-    // cache is keyed on the exact pattern and amd_order is deterministic,
-    // so the hit path yields bitwise-identical factorizations.
-    q_ = ordering_cache_ ? *ordering_cache_->order_for(a) : amd_order(a);
+    q_ = amd_order(a);
     qinv_.resize(n);
     for (std::size_t j = 0; j < n; ++j) qinv_[q_[j]] = j;
   }
@@ -58,8 +52,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
     }
     perm[i] = i;
   }
-  double min_pivot = std::numeric_limits<double>::infinity();
-
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: among rows i >= k, pick the largest |a[i][k]|.
     std::size_t pivot_row = n;
@@ -79,7 +71,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
                                     std::to_string(original),
                                 original);
     }
-    min_pivot = std::min(min_pivot, pivot_mag);
     if (pivot_row != k) {
       std::swap(rows[k], rows[pivot_row]);
       std::swap(perm[k], perm[pivot_row]);
@@ -103,7 +94,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
   // Flatten the factored rows into CSR and record the permuted A pattern so
   // later factor() calls can scatter + eliminate without any node churn.
   n_ = n;
-  min_pivot_ = min_pivot;
   // perm_ maps a factored row straight to its original A row (the pivot
   // permutation composed with the fill-reducing one).
   perm_.resize(n);
@@ -147,7 +137,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
 
 bool SparseLu::try_refactor(const SparseMatrix& a) {
   const std::size_t n = n_;
-  double min_pivot = std::numeric_limits<double>::infinity();
 
   // Up-looking elimination over the cached structure: per factored row,
   // scatter the permuted A row into the dense accumulator, apply the updates
@@ -201,10 +190,8 @@ bool SparseLu::try_refactor(const SparseMatrix& a) {
       // values (or the matrix went singular) — re-pivot from scratch.
       return false;
     }
-    min_pivot = std::min(min_pivot, pivot_mag);
   }
 
-  min_pivot_ = min_pivot;
   return true;
 }
 

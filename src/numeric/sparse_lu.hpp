@@ -8,29 +8,26 @@
 // input pattern changes, the factorization transparently falls back to a
 // fresh symbolic analysis, so callers can treat factor() as always-correct.
 //
-// Ahead of the symbolic phase an optional fill-reducing (AMD) permutation
-// reorders the unknowns; the permutation is cached with the symbolic
-// structure, so the numeric-only refactorization path is identical in shape
-// whether or not the matrix was reordered. Under the default kAuto policy
-// small systems keep the natural order bit-for-bit (the permutation only
-// kicks in at kAutoOrderingThreshold unknowns, where banded fill starts to
-// dominate).
+// Ahead of the symbolic phase systems of kAutoOrderingThreshold or more
+// unknowns, where banded fill starts to dominate, are reordered by a
+// fill-reducing (AMD) permutation; smaller ones keep the natural order. The
+// permutation is cached with the symbolic structure, so the numeric-only
+// refactorization path is identical in shape whether or not the matrix was
+// reordered.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "numeric/ordering.hpp"
 #include "numeric/sparse_matrix.hpp"
 
 namespace softfet::numeric {
 
 class SparseLu {
  public:
-  /// kAuto applies the AMD permutation at or above this many unknowns.
+  /// analyze() applies the AMD permutation at or above this many unknowns.
   /// Below it, natural-order fill is modest and skipping the reorder keeps
-  /// existing small-circuit results bitwise identical.
+  /// small-circuit results bitwise identical to the unordered factor.
   static constexpr std::size_t kAutoOrderingThreshold = 128;
 
   SparseLu() = default;
@@ -38,23 +35,6 @@ class SparseLu {
   /// Analyze + factor `a`. Throws softfet::ConvergenceError when
   /// numerically singular.
   explicit SparseLu(const SparseMatrix& a) { factor(a); }
-
-  /// Select the fill-reducing ordering policy. Changing it invalidates the
-  /// cached symbolic analysis (the next factor() re-analyzes).
-  void set_ordering(OrderingKind ordering) noexcept {
-    if (ordering != ordering_) {
-      ordering_ = ordering;
-      n_ = 0;
-    }
-  }
-  [[nodiscard]] OrderingKind ordering() const noexcept { return ordering_; }
-
-  /// Attach a shared AMD-permutation memo (may be null). Only consulted on
-  /// the reordering path; hits are bitwise identical to computing, so this
-  /// never changes results — only first-factorization latency.
-  void set_ordering_cache(std::shared_ptr<OrderingCache> cache) noexcept {
-    ordering_cache_ = std::move(cache);
-  }
 
   /// Factor `a`. The first call (or a call after the pattern changed, or
   /// after a reused pivot degraded) runs the full symbolic analysis with
@@ -68,7 +48,6 @@ class SparseLu {
 
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
-  [[nodiscard]] double min_pivot() const noexcept { return min_pivot_; }
   [[nodiscard]] std::size_t fill_nonzeros() const noexcept {
     return cols_.size();
   }
@@ -99,9 +78,6 @@ class SparseLu {
   void analyze(const SparseMatrix& a);
   [[nodiscard]] bool try_refactor(const SparseMatrix& a);
 
-  OrderingKind ordering_ = OrderingKind::kAuto;
-  std::shared_ptr<OrderingCache> ordering_cache_;
-
   std::size_t n_ = 0;
 
   // Fill-reducing permutation of the unknowns: permuted index j holds
@@ -129,7 +105,6 @@ class SparseLu {
 
   std::vector<double> work_;  ///< dense accumulator, zero between rows
 
-  double min_pivot_ = 0.0;
   std::size_t analyze_count_ = 0;
   std::size_t refactor_count_ = 0;
 };

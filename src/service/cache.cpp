@@ -5,31 +5,16 @@
 
 namespace softfet::service {
 
-std::string options_fingerprint(const sim::SimOptions& options) {
-  // Only fields that change what the cached artifacts *are* belong here:
-  // the ordering kind decides whether AMD permutations apply at all, and
-  // the solver kind/policy decide which code paths consult them. Newton
-  // tolerances etc. never affect the AST or the pattern, so they stay out
-  // and keep the hit rate high.
-  std::string out;
-  out += to_string(options.solver_ordering);
-  out += '/';
-  out += to_string(options.solver_policy);
-  return out;
-}
-
 NetlistCache::NetlistCache(std::size_t max_entries, std::size_t max_bytes)
     : max_entries_(max_entries == 0 ? 1 : max_entries),
       max_bytes_(max_bytes) {}
 
-CompiledNetlist NetlistCache::lookup(const std::string& netlist_text,
-                                     const std::string& fingerprint) {
-  const std::uint64_t hash = fnv1a64(netlist_text) ^ fnv1a64(fingerprint);
+CompiledNetlist NetlistCache::lookup(const std::string& netlist_text) {
+  const std::uint64_t hash = fnv1a64(netlist_text);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if (it->hash == hash && it->fingerprint == fingerprint &&
-          it->netlist_text == netlist_text) {
+      if (it->hash == hash && it->netlist_text == netlist_text) {
         ++hits_;
         lru_.splice(lru_.begin(), lru_, it);  // bump to MRU
         return it->compiled;
@@ -41,20 +26,17 @@ CompiledNetlist NetlistCache::lookup(const std::string& netlist_text,
   // Parse outside the lock — it can be arbitrarily slow and may throw.
   // Concurrent misses on the same text both parse; the duplicate insert
   // below is detected and dropped (ASTs are interchangeable).
-  CompiledNetlist compiled;
-  compiled.ast = std::make_shared<const netlist::NetlistAst>(
-      netlist::parse(netlist_text));
-  compiled.orderings = std::make_shared<numeric::OrderingCache>();
+  CompiledNetlist compiled =
+      std::make_shared<const netlist::NetlistAst>(netlist::parse(netlist_text));
 
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->hash == hash && it->fingerprint == fingerprint &&
-        it->netlist_text == netlist_text) {
+    if (it->hash == hash && it->netlist_text == netlist_text) {
       lru_.splice(lru_.begin(), lru_, it);
       return it->compiled;  // a racer inserted first; share its entry
     }
   }
-  lru_.push_front(Entry{hash, netlist_text, fingerprint, compiled});
+  lru_.push_front(Entry{hash, netlist_text, compiled});
   bytes_ += netlist_text.size();
   while (lru_.size() > max_entries_ ||
          (bytes_ > max_bytes_ && lru_.size() > 1)) {

@@ -1,23 +1,15 @@
-// Content-addressed cross-request cache of compiled netlists.
+// Content-addressed cross-request cache of parsed netlists.
 //
 // Keyed by the netlist text itself (FNV-1a hash for the bucket, full text
 // retained and compared for exactness — content addressing, not
-// hash-trusting) plus an options fingerprint, because solver options that
-// change elaboration-adjacent behavior (ordering kind, solver policy) must
-// not alias. A hit skips:
+// hash-trusting). A hit skips parsing: the immutable NetlistAst is shared
+// read-only across jobs, while every job still elaborates its own
+// sim::Circuit, which carries mutable device state and cannot be shared.
 //
-//  - parsing (the immutable NetlistAst is shared read-only across jobs —
-//    every job still elaborates its own sim::Circuit, which carries
-//    mutable device state and cannot be shared), and
-//  - the AMD symbolic ordering, via a per-entry numeric::OrderingCache the
-//    jobs attach to their SimOptions (the solver's symbolic analysis of a
-//    repeated pattern is served from the memo).
-//
-// Both layers are bitwise-neutral: a cached AST elaborates to the same
-// circuit a fresh parse would, and the ordering memo returns exactly the
-// permutation AMD would compute. Entries are LRU-evicted beyond the entry
-// and byte bounds so a daemon fed endless distinct netlists holds steady
-// memory; eviction invalidates nothing in flight (jobs hold shared_ptrs).
+// The cache is bitwise-neutral: a cached AST elaborates to the same circuit
+// a fresh parse would. Entries are LRU-evicted beyond the entry and byte
+// bounds so a daemon fed endless distinct netlists holds steady memory;
+// eviction invalidates nothing in flight (jobs hold shared_ptrs).
 #pragma once
 
 #include <cstddef>
@@ -28,19 +20,11 @@
 #include <string>
 
 #include "netlist/ast.hpp"
-#include "numeric/ordering.hpp"
-#include "sim/options.hpp"
 
 namespace softfet::service {
 
-/// The shareable, immutable part of a compiled netlist.
-struct CompiledNetlist {
-  std::shared_ptr<const netlist::NetlistAst> ast;
-  std::shared_ptr<numeric::OrderingCache> orderings;
-};
-
-/// Fingerprint of the SimOptions fields a cache entry must key on.
-[[nodiscard]] std::string options_fingerprint(const sim::SimOptions& options);
+/// The shareable, immutable part of a compiled netlist: its parsed AST.
+using CompiledNetlist = std::shared_ptr<const netlist::NetlistAst>;
 
 struct NetlistCacheStats {
   std::size_t hits = 0;
@@ -58,20 +42,14 @@ class NetlistCache {
   /// Parse-or-fetch. Throws softfet::ParseError on a parse failure (parse
   /// failures are never cached: the error carries request-specific
   /// positions and poisoning the cache with negatives buys nothing).
-  [[nodiscard]] CompiledNetlist lookup(const std::string& netlist_text,
-                                       const std::string& fingerprint);
+  [[nodiscard]] CompiledNetlist lookup(const std::string& netlist_text);
 
   [[nodiscard]] NetlistCacheStats stats() const;
-  [[nodiscard]] std::size_t max_entries() const noexcept {
-    return max_entries_;
-  }
-  [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
 
  private:
   struct Entry {
     std::uint64_t hash = 0;
     std::string netlist_text;  ///< exact-match key
-    std::string fingerprint;
     CompiledNetlist compiled;
   };
 

@@ -128,19 +128,15 @@ JobHandler netlist_job_handler() {
       throw Error("netlist job needs a string \"netlist\" field");
     }
 
-    // Content-addressed AST + ordering memo; a cache-less context (direct
-    // handler use in benches) parses fresh.
-    CompiledNetlist compiled;
-    if (ctx.cache != nullptr) {
-      compiled =
-          ctx.cache->lookup(netlist->as_string(), options_fingerprint(ctx.options));
-    } else {
-      compiled.ast = std::make_shared<const netlist::NetlistAst>(
-          netlist::parse(netlist->as_string()));
-    }
-    ctx.options.ordering_cache = compiled.orderings;
+    // Content-addressed AST; a cache-less context (direct handler use in
+    // benches) parses fresh.
+    const CompiledNetlist ast =
+        ctx.cache != nullptr
+            ? ctx.cache->lookup(netlist->as_string())
+            : std::make_shared<const netlist::NetlistAst>(
+                  netlist::parse(netlist->as_string()));
 
-    auto net = netlist::elaborate(*compiled.ast);
+    auto net = netlist::elaborate(*ast);
     net.circuit->prepare();
 
     JsonValue result = JsonValue::object();

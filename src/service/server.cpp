@@ -494,7 +494,7 @@ AttemptOutcome run_handler_attempt(const JobHandler& handler,
   ctx.finish = [&](JsonValue fields) {
     if (finished) return;
     finished = true;
-    out.result_fields = std::move(fields);
+    out.fields = std::move(fields);
   };
 
   try {
@@ -503,28 +503,29 @@ AttemptOutcome run_handler_attempt(const JobHandler& handler,
       throw Error("handler for '" + request.type +
                   "' returned without a result");
     }
-    out.kind = AttemptOutcome::Kind::kFinished;
+    out.kind = AttemptOutcome::Kind::kResult;
   } catch (const std::exception& e) {
     if (finished) {
       // The handler delivered its result and then threw; the result wins
       // (the old terminal latch dropped the late error the same way).
-      out.kind = AttemptOutcome::Kind::kFinished;
+      out.kind = AttemptOutcome::Kind::kResult;
       return out;
     }
     out.message = e.what();
     out.failure_class = classify_failure(e);
     if (out.failure_class == FailureClass::kCancelled) {
       out.kind = AttemptOutcome::Kind::kCancelled;
+      out.fields = JsonValue::object();
     } else {
       out.kind = AttemptOutcome::Kind::kError;
-      out.error_fields = error_event_fields(e, request.raw_line);
+      out.fields = error_event_fields(e, request.raw_line);
     }
   } catch (...) {
     const Error error("unknown exception in handler");
     out.kind = AttemptOutcome::Kind::kError;
     out.failure_class = FailureClass::kTerminal;
     out.message = error.what();
-    out.error_fields = error_event_fields(error, request.raw_line);
+    out.fields = error_event_fields(error, request.raw_line);
   }
   return out;
 }
@@ -534,7 +535,7 @@ namespace {
 /// `error` event fields for a dead worker: code worker_crashed plus the
 /// crash forensics object (supervisor-side reason/status merged with the
 /// worker's own last-gasp record when it managed to write one).
-[[nodiscard]] JsonValue crash_error_fields(const IsolatedVerdict& verdict) {
+[[nodiscard]] JsonValue crash_error_fields(const AttemptOutcome& verdict) {
   JsonValue out = JsonValue::object();
   out.set("code", JsonValue::string(kErrorWorkerCrashed));
   out.set("message", JsonValue::string(verdict.message));
@@ -635,9 +636,9 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
     }
 
     // One attempt, in this thread or in the slot's worker process; both
-    // paths classify into the same verdict shape, so the retry policy and
-    // the emitted event stream are isolation-independent.
-    IsolatedVerdict verdict;
+    // paths classify into the same outcome, so the retry policy and the
+    // emitted event stream are isolation-independent.
+    AttemptOutcome verdict;
     if (supervisor_) {
       WorkerJob wjob;
       wjob.id = job->request.id;
@@ -666,37 +667,19 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
       actx.emit = [this, job](const char* event, JsonValue fields) {
         emit_event(job, event, std::move(fields), false);
       };
-      AttemptOutcome out =
-          run_handler_attempt(handler->second, job->request, actx);
-      switch (out.kind) {
-        case AttemptOutcome::Kind::kFinished:
-          verdict.kind = IsolatedVerdict::Kind::kResult;
-          verdict.fields = std::move(out.result_fields);
-          break;
-        case AttemptOutcome::Kind::kCancelled:
-          verdict.kind = IsolatedVerdict::Kind::kCancelled;
-          verdict.failure_class = out.failure_class;
-          verdict.message = out.message;
-          break;
-        case AttemptOutcome::Kind::kError:
-          verdict.kind = IsolatedVerdict::Kind::kError;
-          verdict.failure_class = out.failure_class;
-          verdict.message = out.message;
-          verdict.fields = std::move(out.error_fields);
-          break;
-      }
+      verdict = run_handler_attempt(handler->second, job->request, actx);
     }
 
     switch (verdict.kind) {
-      case IsolatedVerdict::Kind::kResult:
+      case AttemptOutcome::Kind::kResult:
         emit_event(job, "result", std::move(verdict.fields), true);
         ++completed_;
         finish_job(job, /*keep_journal=*/false);
         return;
-      case IsolatedVerdict::Kind::kCancelled:
+      case AttemptOutcome::Kind::kCancelled:
         emit_cancelled(verdict.message);
         return;
-      case IsolatedVerdict::Kind::kError:
+      case AttemptOutcome::Kind::kError:
         if (verdict.failure_class == FailureClass::kTransient &&
             attempt < config_.retry.max_attempts) {
           last_failure = verdict.message;
@@ -706,7 +689,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
         emit_event(job, "error", std::move(verdict.fields), true);
         finish_job(job, /*keep_journal=*/false);
         return;
-      case IsolatedVerdict::Kind::kCrashed:
+      case AttemptOutcome::Kind::kCrashed:
         // A crash is usually deterministic, so it is never retried:
         // retrying would double the blast radius.
         ++worker_crashes_;

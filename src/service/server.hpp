@@ -51,6 +51,7 @@
 #include "service/retry.hpp"
 #include "sim/options.hpp"
 #include "util/budget.hpp"
+#include "util/subprocess.hpp"
 
 namespace softfet::service {
 
@@ -116,9 +117,8 @@ struct ServerStats {
 using Sink = std::function<void(const std::string& line)>;
 
 /// Execution context a job handler runs under. `options` is pre-armed with
-/// the per-attempt budget, the job's cancel token and (for netlist jobs)
-/// the cache's ordering memo; handlers stream via emit() and MUST end a
-/// successful run with exactly one finish().
+/// the per-attempt budget and the job's cancel token; handlers stream via
+/// emit() and MUST end a successful run with exactly one finish().
 struct JobContext {
   sim::SimOptions options;
   const ServerConfig* config = nullptr;
@@ -132,19 +132,33 @@ struct JobContext {
 
 using JobHandler = std::function<void(const Request&, JobContext&)>;
 
+/// Forensics for a dead worker.
+struct WorkerCrash {
+  util::ExitStatus status;  ///< decoded wait status
+  /// "signal" | "exit" | "heartbeat_timeout" | "deadline_timeout" |
+  /// "spawn_failed"
+  std::string reason;
+  JsonValue last_gasp;      ///< parsed crash-handler record (null if none)
+  std::string raw_report;   ///< the record's raw line ("" if none)
+  std::string report_path;  ///< archived copy ("" when not archived)
+};
+
 /// Outcome of one handler attempt, independent of where it ran. The shared
 /// attempt layer below is the single implementation both execution modes
 /// use: thread mode calls it on a worker thread; process mode calls it
 /// inside the forked worker and ships the outcome back over the pipe — so
 /// retry classification, error shaping, and the emit/finish contract stay
-/// byte-for-byte identical across isolation modes.
+/// byte-for-byte identical across isolation modes. Only process mode adds
+/// kCrashed: the worker died and `crash` says how.
 struct AttemptOutcome {
-  enum class Kind { kFinished, kError, kCancelled };
+  enum class Kind { kResult, kError, kCancelled, kCrashed };
   Kind kind = Kind::kError;
   FailureClass failure_class = FailureClass::kTerminal;
   std::string message;
-  JsonValue result_fields;  ///< kFinished: the handler's finish() payload
-  JsonValue error_fields;   ///< kError: full `error` event fields
+  /// kResult: the handler's finish() payload; kError: the full `error`
+  /// event fields; kCancelled: an empty object.
+  JsonValue fields;
+  WorkerCrash crash;  ///< kCrashed only
 };
 
 /// What one attempt needs from its surroundings (a strict subset of the

@@ -124,6 +124,10 @@ void child_reader_loop(ChildState& st, int job_fd, int heartbeat_ms) {
   st.cv.notify_all();
 }
 
+/// The terminal frame's `outcome`, indexed by AttemptOutcome::Kind. A
+/// crashed worker sends no terminal frame, so kCrashed has no name.
+constexpr const char* kTerminalOutcomes[] = {"result", "error", "cancelled"};
+
 void child_send_terminal(ChildState& st, const char* outcome,
                          FailureClass cls, const std::string& message,
                          JsonValue fields) {
@@ -212,20 +216,9 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
 
       util::crash_set_stage(("handler:" + request.type).c_str());
       AttemptOutcome out = run_handler_attempt(handler->second, request, actx);
-      switch (out.kind) {
-        case AttemptOutcome::Kind::kFinished:
-          child_send_terminal(st, "result", FailureClass::kTerminal, "",
-                              std::move(out.result_fields));
-          break;
-        case AttemptOutcome::Kind::kCancelled:
-          child_send_terminal(st, "cancelled", FailureClass::kCancelled,
-                              out.message, JsonValue::object());
-          break;
-        case AttemptOutcome::Kind::kError:
-          child_send_terminal(st, "error", out.failure_class, out.message,
-                              std::move(out.error_fields));
-          break;
-      }
+      child_send_terminal(st, kTerminalOutcomes[static_cast<int>(out.kind)],
+                          out.failure_class, out.message,
+                          std::move(out.fields));
     }
   }
 
@@ -418,15 +411,15 @@ bool Supervisor::ensure_worker(std::size_t slot_index,
   return false;
 }
 
-IsolatedVerdict Supervisor::retire_worker(std::size_t slot_index,
+AttemptOutcome Supervisor::retire_worker(std::size_t slot_index,
                                           const WorkerJob& job,
                                           const std::string& reason,
                                           bool kill_first) {
   Slot& slot = *slots_[slot_index];
   const pid_t pid = slot.pid.load(std::memory_order_acquire);
 
-  IsolatedVerdict verdict;
-  verdict.kind = IsolatedVerdict::Kind::kCrashed;
+  AttemptOutcome verdict;
+  verdict.kind = AttemptOutcome::Kind::kCrashed;
   verdict.failure_class = FailureClass::kTerminal;
   verdict.crash.reason = reason;
 
@@ -490,7 +483,7 @@ IsolatedVerdict Supervisor::retire_worker(std::size_t slot_index,
   return verdict;
 }
 
-IsolatedVerdict Supervisor::run_job(
+AttemptOutcome Supervisor::run_job(
     std::size_t slot_index, const WorkerJob& job,
     const std::function<void(const char* event,
                              const std::string& fields_json)>& emit,
@@ -499,14 +492,14 @@ IsolatedVerdict Supervisor::run_job(
 
   if (!ensure_worker(slot_index, cancel)) {
     if (cancel.requested()) {
-      IsolatedVerdict verdict;
-      verdict.kind = IsolatedVerdict::Kind::kCancelled;
+      AttemptOutcome verdict;
+      verdict.kind = AttemptOutcome::Kind::kCancelled;
       verdict.failure_class = FailureClass::kCancelled;
       verdict.message = "cancelled while waiting for a worker";
       return verdict;
     }
-    IsolatedVerdict verdict;
-    verdict.kind = IsolatedVerdict::Kind::kCrashed;
+    AttemptOutcome verdict;
+    verdict.kind = AttemptOutcome::Kind::kCrashed;
     verdict.crash.reason = "spawn_failed";
     verdict.message = "no worker available (spawn failed)";
     return verdict;
@@ -568,20 +561,18 @@ IsolatedVerdict Supervisor::run_job(
       const std::string kind = reply.string_or("kind", "");
       if (kind == "terminal") {
         slot.consecutive_crashes = 0;
-        IsolatedVerdict verdict;
+        AttemptOutcome verdict;  // kError unless the outcome names another
         const std::string outcome = reply.string_or("outcome", "error");
+        for (std::size_t k = 0; k < std::size(kTerminalOutcomes); ++k) {
+          if (outcome == kTerminalOutcomes[k]) {
+            verdict.kind = static_cast<AttemptOutcome::Kind>(k);
+          }
+        }
         verdict.failure_class =
             failure_class_from(reply.string_or("class", "terminal"));
         verdict.message = reply.string_or("message", "");
         if (const JsonValue* fields = reply.get("fields")) {
           verdict.fields = *fields;
-        }
-        if (outcome == "result") {
-          verdict.kind = IsolatedVerdict::Kind::kResult;
-        } else if (outcome == "cancelled") {
-          verdict.kind = IsolatedVerdict::Kind::kCancelled;
-        } else {
-          verdict.kind = IsolatedVerdict::Kind::kError;
         }
         return verdict;
       }

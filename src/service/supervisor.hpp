@@ -80,31 +80,8 @@ struct WorkerJob {
   double timeout_seconds = 0.0;
   std::string checkpoint_path;
   /// Where to archive the worker's last-gasp record if it crashes
-  /// ("" = don't archive; the verdict still carries the parsed record).
+  /// ("" = don't archive; the outcome still carries the parsed record).
   std::string crash_archive_path;
-};
-
-/// Forensics for a dead worker.
-struct WorkerCrash {
-  util::ExitStatus status;  ///< decoded wait status
-  /// "signal" | "exit" | "heartbeat_timeout" | "deadline_timeout" |
-  /// "spawn_failed"
-  std::string reason;
-  JsonValue last_gasp;      ///< parsed crash-handler record (null if none)
-  std::string raw_report;   ///< the record's raw line ("" if none)
-  std::string report_path;  ///< archived copy ("" when not archived)
-};
-
-/// Classified outcome of one isolated attempt. kResult/kError/kCancelled
-/// mirror AttemptOutcome (the worker ran the attempt to completion);
-/// kCrashed means the worker died and `crash` says how.
-struct IsolatedVerdict {
-  enum class Kind { kResult, kError, kCancelled, kCrashed };
-  Kind kind = Kind::kCrashed;
-  FailureClass failure_class = FailureClass::kTerminal;
-  std::string message;
-  JsonValue fields;  ///< result fields (kResult) or error fields (kError)
-  WorkerCrash crash; ///< populated for kCrashed
 };
 
 class Supervisor {
@@ -122,7 +99,7 @@ class Supervisor {
   /// frame, worker death, or a kill decision. `cancel` is watched
   /// throughout and forwarded to the worker as a cancel frame. MUST only
   /// be called by the one thread that owns `slot`.
-  [[nodiscard]] IsolatedVerdict run_job(
+  [[nodiscard]] AttemptOutcome run_job(
       std::size_t slot, const WorkerJob& job,
       const std::function<void(const char* event,
                                const std::string& fields_json)>& emit,
@@ -159,8 +136,8 @@ class Supervisor {
 
   [[nodiscard]] bool spawn_worker(std::size_t slot);
   /// SIGKILL (when still alive), reap, collect forensics, close fds, and
-  /// arm the respawn backoff. Returns the kCrashed verdict.
-  [[nodiscard]] IsolatedVerdict retire_worker(std::size_t slot,
+  /// arm the respawn backoff. Returns the kCrashed outcome.
+  [[nodiscard]] AttemptOutcome retire_worker(std::size_t slot,
                                               const WorkerJob& job,
                                               const std::string& reason,
                                               bool kill_first);

@@ -92,7 +92,7 @@ AcResult ac_sweep(Circuit& circuit, const std::vector<double>& frequencies,
       device->load_ac(op.x, stamper, omega);
     }
     for (std::size_t i = 0; i < voltage_unknowns; ++i) {
-      matrix(i, i) += options.gmin;  // same regularization as DC
+      matrix(i, i) += kGmin;  // same regularization as DC
     }
     lu.factor(matrix);
     result.append_point(lu.solve(rhs));

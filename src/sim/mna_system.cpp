@@ -6,11 +6,10 @@
 
 namespace softfet::sim {
 
-MnaSystem::MnaSystem(Circuit& circuit, const SimOptions& options,
+MnaSystem::MnaSystem(Circuit& circuit, const SimOptions& /*options*/,
                      LoadContext& context)
     : circuit_(circuit),
       context_(context),
-      gmin_(options.gmin),
       voltage_unknowns_(circuit.node_count() - 1) {
   if (!circuit.prepared()) {
     throw InvalidCircuitError("MnaSystem: circuit not prepared");
@@ -26,7 +25,7 @@ void MnaSystem::load(const std::vector<double>& x,
   for (const auto& device : circuit_.devices()) {
     device->load(x, stamper, context_);
   }
-  stamp_gmin_shunts(stamper, x, voltage_unknowns_, gmin_);
+  stamp_gmin_shunts(stamper, x, voltage_unknowns_, kGmin);
 }
 
 void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,

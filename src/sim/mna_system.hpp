@@ -37,7 +37,7 @@ void stamp_gmin_shunts(Stamper& stamper, const std::vector<double>& x,
 class MnaSystem {
  public:
   /// `circuit` must be prepared; `context` is the load context of every
-  /// load and attribution.
+  /// load and attribution. No option changes the load: the shunts are kGmin.
   MnaSystem(Circuit& circuit, const SimOptions& options, LoadContext& context);
 
   [[nodiscard]] std::size_t size() const;
@@ -57,7 +57,6 @@ class MnaSystem {
  private:
   Circuit& circuit_;
   LoadContext& context_;
-  double gmin_;
   std::size_t voltage_unknowns_;
 };
 

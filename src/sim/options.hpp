@@ -1,9 +1,6 @@
 // Simulator tolerances and analysis controls (SPICE-style .options).
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
 #include "numeric/linear_solver.hpp"
 #include "util/budget.hpp"
 
@@ -29,6 +26,10 @@ enum class Determinism {
   return mode == Determinism::kRelaxedUlp ? "relaxed" : "bitwise";
 }
 
+/// Node-to-ground shunt conductance every solve stamps [S] (SPICE GMIN):
+/// the DC and transient Jacobians and the AC admittance matrix alike.
+inline constexpr double kGmin = 1e-12;
+
 struct SimOptions {
   // --- Newton convergence ---------------------------------------------
   double reltol = 1e-3;    ///< relative dx tolerance
@@ -37,20 +38,10 @@ struct SimOptions {
   int newton_max_iter = 150;
   double v_max_step = 0.5;  ///< Newton dv clamp for node voltages [V]
 
-  // --- Conductance regularization --------------------------------------
-  double gmin = 1e-12;  ///< node-to-ground shunt conductance [S]
-
-  // --- DC operating point homotopy --------------------------------------
-  int source_steps = 20;  ///< source-stepping points in the fallback
-
   // --- Transient --------------------------------------------------------
-  double dtmin = 1e-18;      ///< smallest step before declaring failure [s]
   double dtmax = 0.0;        ///< largest step; 0 selects tstop/200
-  double dt_initial = 0.0;   ///< first step; 0 selects tstop/1e6
-  double lte_reltol = 5e-3;  ///< local-error target relative to signal swing
   double dt_grow = 1.6;      ///< max step growth per accepted step
   double dt_shrink = 0.25;   ///< shrink factor on Newton failure
-  std::size_t max_steps = 20'000'000;
   bool use_trapezoidal = true;  ///< false = backward Euler everywhere
 
   // --- Transient recovery ladder ----------------------------------------
@@ -60,10 +51,6 @@ struct SimOptions {
   /// diagnostics). The ladder also runs once more at the minimum timestep
   /// before the run gives up. <= 0 disables escalation (shrink-only).
   int recovery_escalate_after = 6;
-  /// Starting shunt conductance of the transient gmin-ramp rung [S].
-  double recovery_gmin_start = 1e-3;
-  /// Continuation points of the per-step source-ramp rung.
-  int recovery_source_steps = 4;
 
   // --- Linear solver ----------------------------------------------------
   numeric::SolverKind solver = numeric::SolverKind::kAuto;
@@ -72,24 +59,10 @@ struct SimOptions {
   /// kIterative answers solves with BiCGSTAB preconditioned by the last
   /// cached LU and only refactors on convergence failure.
   numeric::SolverPolicy solver_policy = numeric::SolverPolicy::kDirect;
-  /// Fill-reducing ordering ahead of the sparse symbolic phase. kAuto
-  /// applies AMD at or above SparseLu::kAutoOrderingThreshold unknowns, so
-  /// small circuits keep their natural order bit-for-bit.
-  numeric::OrderingKind solver_ordering = numeric::OrderingKind::kAuto;
-  /// Shared AMD-permutation memo attached to every LinearSolver this run
-  /// creates (null = compute per solver). The simulation service points
-  /// runs of one cached netlist at one OrderingCache so repeat requests
-  /// skip the symbolic ordering work; results are bitwise unchanged.
-  std::shared_ptr<numeric::OrderingCache> ordering_cache;
 
   /// Facade configuration handed to every LinearSolver this run creates.
   [[nodiscard]] numeric::LinearSolverConfig solver_config() const {
-    numeric::LinearSolverConfig config;
-    config.kind = solver;
-    config.policy = solver_policy;
-    config.ordering = solver_ordering;
-    config.ordering_cache = ordering_cache;
-    return config;
+    return {.kind = solver, .policy = solver_policy};
   }
 
   // --- Reproducibility --------------------------------------------------

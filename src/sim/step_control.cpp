@@ -15,6 +15,24 @@ namespace {
 
 constexpr double kEventBoundaryTolerance = 1e-9;  // relative to dt
 
+/// Smallest step before a failing solve gives up [s].
+constexpr double kDtMin = 1e-18;
+/// Local-error target relative to the signal swing.
+constexpr double kLteReltol = 5e-3;
+/// Accepted steps after which a transient stops as out of budget. Only
+/// accepted steps count: between two of them every rejection shrinks dt
+/// toward kDtMin (LTE halves it and runs at most 15 times in a row, a
+/// Newton failure quarters it, an event cut lands strictly inside the
+/// step), and at kDtMin the LTE and event cuts accept while a failing
+/// solve ends the lane.
+constexpr std::size_t kMaxSteps = 20'000'000;
+/// Starting shunt of the transient gmin-ramp rung [S].
+constexpr double kRecoveryGminStart = 1e-3;
+/// Continuation points of the transient source-ramp rung.
+constexpr int kRecoverySourceSteps = 4;
+/// Source-stepping points of the operating point's last rung.
+constexpr int kSourceSteps = 20;
+
 /// Divisor of the residual column in the iteration trace.
 constexpr double kTraceResidualScale = 1e3;
 
@@ -24,12 +42,11 @@ constexpr double kTraceResidualScale = 1e3;
 /// (i = 2C/dt*dq - i_prev), so a current-based LTE never converges.
 [[nodiscard]] double lte_ratio(const std::vector<double>& x,
                                const std::vector<double>& x_pred,
-                               std::size_t voltage_unknowns,
-                               const SimOptions& options) {
+                               std::size_t voltage_unknowns) {
   double worst = 0.0;
   for (std::size_t i = 0; i < voltage_unknowns; ++i) {
     const double scale = std::max({std::fabs(x[i]), std::fabs(x_pred[i]), 0.05});
-    const double tol = options.lte_reltol * scale;
+    const double tol = kLteReltol * scale;
     worst = std::max(worst, std::fabs(x[i] - x_pred[i]) / tol);
   }
   return worst;
@@ -39,23 +56,22 @@ constexpr double kTraceResidualScale = 1e3;
 
 void TransientLane::start(std::vector<double> x0) {
   // The transient ladder: predictor reset, then a gmin ramp from
-  // recovery_gmin_start down by decades, then a per-step source ramp.
+  // kRecoveryGminStart down by decades, then a per-step source ramp.
   open({.timed = true,
         .escalate_after = options.recovery_escalate_after,
         .first_rung = Rung::kPredictorReset,
         .names = {nullptr, "predictor_reset", "gmin_ramp", "source_ramp"},
         .failed = "Newton failed at minimum timestep (",
-        .gmin_start = std::max(options.recovery_gmin_start, options.gmin),
+        .gmin_start = std::max(kRecoveryGminStart, kGmin),
         .gmin_factor = 0.1,
-        .gmin_stop = options.gmin,
-        .source_steps = std::max(options.recovery_source_steps, 1)},
+        .gmin_stop = kGmin,
+        .source_steps = kRecoverySourceSteps},
        std::move(x0));
   sample_row_into(circuit, x, row);
   out.time.push_back(0.0);
   out.table.append_row(row);
   dtmax = options.dtmax > 0.0 ? options.dtmax : tstop / 200.0;
-  dt = options.dt_initial > 0.0 ? options.dt_initial
-                                : std::min(tstop / 1e6, dtmax);
+  dt = std::min(tstop / 1e6, dtmax);
   begin_step();
 }
 
@@ -71,8 +87,8 @@ void TransientLane::start_op(std::vector<double> guess) {
         .failed = "all homotopies failed (last: ",
         .gmin_start = 1e-2,
         .gmin_divisor = 10.0,
-        .gmin_stop = options.gmin * 1.001,
-        .source_steps = std::max(options.source_steps, 1),
+        .gmin_stop = kGmin * 1.001,
+        .source_steps = kSourceSteps,
         .source_from_zero = true},
        std::move(guess));
   x_new = x;
@@ -106,14 +122,14 @@ void TransientLane::begin_step() {
   }
   // The budget gate covers every loop path — accepted steps, LTE rejects,
   // and event cuts alike — so an event storm spinning on tiny cut steps
-  // still terminates when the wall clock runs out.
+  // still terminates when the wall clock runs out. The constant step cap
+  // is one more accepted-step budget.
   stop = budget.check(out.accepted_steps, out.newton_iterations);
+  if (stop == util::BudgetStop::kNone && out.accepted_steps >= kMaxSteps) {
+    stop = util::BudgetStop::kAcceptedSteps;
+  }
   if (stop != util::BudgetStop::kNone) {
     state_ = State::kTruncated;
-    return;
-  }
-  if (out.accepted_steps + out.rejected_steps >= options.max_steps) {
-    state_ = State::kStepLimit;
     return;
   }
 
@@ -123,7 +139,7 @@ void TransientLane::begin_step() {
     device_cap = std::min(device_cap, device->max_timestep());
   }
   dt = std::min({dt, device_cap, dtmax, tstop - t});
-  dt = std::max(dt, options.dtmin);
+  dt = std::max(dt, kDtMin);
 
   // Land exactly on the next source breakpoint if it falls inside.
   double breakpoint = kNeverTime;
@@ -131,7 +147,7 @@ void TransientLane::begin_step() {
     breakpoint = std::min(breakpoint, device->next_breakpoint(t));
   }
   if (breakpoint > t && breakpoint < t + dt) {
-    dt = std::max(breakpoint - t, options.dtmin);
+    dt = std::max(breakpoint - t, kDtMin);
   }
 
   const double t_next = t + dt;
@@ -258,7 +274,7 @@ void TransientLane::fail(numeric::NewtonFailure failure, std::size_t unknown,
   ++out.rejected_steps;
   ++consecutive_rejects;
   ++newton_failures;
-  const bool at_min = dt <= options.dtmin * 1.0001;
+  const bool at_min = dt <= kDtMin * 1.0001;
   if (ladder.escalate_after > 0 &&
       (newton_failures == ladder.escalate_after ||
        (at_min && !escalated_at_min))) {
@@ -277,7 +293,7 @@ void TransientLane::shrink_or_stop() {
     state_ = State::kTruncated;
     return;
   }
-  if (dt <= options.dtmin * 1.0001) {
+  if (dt <= kDtMin * 1.0001) {
     state_ = State::kFailed;
     return;
   }
@@ -313,8 +329,7 @@ void TransientLane::converged() {
     return;
   }
   if (rung == Rung::kGminRamp && !(gmin <= ladder.gmin_stop)) {
-    gmin = std::max(gmin * ladder.gmin_factor / ladder.gmin_divisor,
-                    options.gmin);
+    gmin = std::max(gmin * ladder.gmin_factor / ladder.gmin_divisor, kGmin);
   } else if (rung == Rung::kSourceRamp && source_step < ladder.source_steps) {
     ++source_step;
     ctx.source_scale = static_cast<double>(source_step) / ladder.source_steps;
@@ -356,7 +371,7 @@ void TransientLane::end_rung(bool ok) {
 
 void TransientLane::leave_rung() {
   rung = Rung::kMain;
-  gmin = options.gmin;
+  gmin = kGmin;
   ctx.source_scale = 1.0;
 }
 
@@ -378,7 +393,7 @@ void TransientLane::accept_or_cut(int solve_iterations, bool recovered) {
       event_at >= t + dt * (1.0 - kEventBoundaryTolerance);
   if (std::isfinite(event_at) && !event_on_boundary) {
     const double cut = event_at - t;
-    if (cut >= std::max(options.dtmin, dt * 1e-6)) {
+    if (cut >= std::max(kDtMin, dt * 1e-6)) {
       ++out.rejected_steps;
       dt = cut;
       return;
@@ -390,8 +405,8 @@ void TransientLane::accept_or_cut(int solve_iterations, bool recovered) {
   // Local-error control (not after discontinuities, where the predictor
   // is meaningless, and not when we are already struggling).
   if (!recovered && !force_backward_euler && consecutive_rejects < 15) {
-    const double ratio = lte_ratio(x_new, x_pred, voltage_unknowns, options);
-    if (ratio > 4.0 && dt > options.dtmin * 4.0) {
+    const double ratio = lte_ratio(x_new, x_pred, voltage_unknowns);
+    if (ratio > 4.0 && dt > kDtMin * 4.0) {
       ++out.rejected_steps;
       ++consecutive_rejects;
       dt *= 0.5;
@@ -441,7 +456,6 @@ std::string TransientLane::failure() const {
   if (state_ == State::kTruncated) {
     return std::string("run budget: ") + util::to_string(stop);
   }
-  if (state_ == State::kStepLimit) return "step budget exhausted";
   return ladder.failed + std::string(numeric::to_string(record.failure)) +
          ")";
 }

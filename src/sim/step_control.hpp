@@ -26,8 +26,8 @@
 // lane iterates like any other. The operating point's main solve is direct
 // Newton; when it fails, the same ladder runs as gmin stepping and source
 // stepping. The two ladders differ only in their constants (Ladder below).
-// A transient ends done, truncated by the budget, out of steps, or failed
-// at the minimum dt; an operating point ends done, truncated, or failed on
+// A transient ends done, truncated by the budget (the constant step cap
+// included), or failed at the minimum dt; an operating point ends done, truncated, or failed on
 // its last rung. The caller maps that end state to its outcome. Every
 // engine runs exactly this code, so a batch lane that finishes is bitwise
 // identical to the scalar run.
@@ -50,7 +50,7 @@
 namespace softfet::sim::detail {
 
 struct TransientLane {
-  enum class State { kSolving, kDone, kTruncated, kStepLimit, kFailed };
+  enum class State { kSolving, kDone, kTruncated, kFailed };
 
   /// `result` receives the waveform, the counters and the attempt log;
   /// `budget` is checked at every step and iteration head. An operating
@@ -61,8 +61,7 @@ struct TransientLane {
         options(o),
         tstop(stop_time),
         out(result),
-        budget(budget_timer),
-        gmin(o.gmin) {}
+        budget(budget_timer) {}
 
   /// Start at t = 0 from the operating point `x0` (circuit prepared):
   /// sample the first row, set the initial dt and open the first step.
@@ -90,7 +89,8 @@ struct TransientLane {
                         numeric::NewtonFailure::kSingularMatrix);
 
   [[nodiscard]] State state() const noexcept { return state_; }
-  /// Why an ended lane did not finish, e.g. "step budget exhausted".
+  /// Why an ended lane did not finish, e.g. "run budget: wall-clock budget
+  /// exhausted".
   [[nodiscard]] std::string failure() const;
   /// Diagnostics of an ended lane that did not finish: failure(), the
   /// attempt log, the reported solve (iterations, trace, worst unknown)
@@ -130,7 +130,7 @@ struct TransientLane {
     const char* failed = "";      ///< failure() of a failed lane, up to "("
     double gmin_start = 0.0;      ///< shunt of the gmin rung's first solve
     double gmin_factor = 1.0;     ///< next shunt: max(g * factor / divisor,
-    double gmin_divisor = 1.0;    ///< options.gmin)
+    double gmin_divisor = 1.0;    ///< kGmin)
     double gmin_stop = 0.0;       ///< the gmin rung ends once g <= this
     int source_steps = 1;         ///< source rung solves at k / steps
     bool source_from_zero = false;  ///< the source rung starts from x = 0
@@ -185,7 +185,7 @@ struct TransientLane {
 
   int iterations = 0;  ///< of the solve in flight
   SolveRecord record;  ///< the reported solve (see Ladder::timed)
-  double gmin;         ///< shunt conductance of the solve in flight
+  double gmin = kGmin;  ///< shunt conductance of the solve in flight
   Rung rung = Rung::kMain;
   int source_step = 0;  ///< source-ramp point of the rung in flight
 };

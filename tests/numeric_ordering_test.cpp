@@ -1,11 +1,10 @@
 // AMD fill-reducing ordering: permutation validity, fill prediction, the
-// fill win on mesh patterns, and solve correctness under reordering —
-// including bitwise identity of the kAuto default below the size threshold.
+// fill win on mesh patterns, and solve correctness under reordering — which
+// SparseLu applies from kAutoOrderingThreshold unknowns on and never below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -130,9 +129,9 @@ TEST(SymbolicFill, PredictsActualFactorFill) {
   // symbolic count must equal the structure the factorization builds.
   const auto a = grid_system(6);
   const auto adjacency = sn::pattern_adjacency(a);
-  sn::SparseLu lu;
-  lu.set_ordering(sn::OrderingKind::kNatural);
+  sn::SparseLu lu;  // 72 unknowns: below the threshold, natural order
   lu.factor(a);
+  EXPECT_FALSE(lu.reordered());
   EXPECT_EQ(sn::symbolic_fill_natural(adjacency), lu.fill_nonzeros());
 }
 
@@ -155,20 +154,16 @@ TEST(SparseLuOrdering, AmdSolveMatchesNaturalSolve) {
   }
   const auto b = multiply(a, x_ref);
 
-  sn::SparseLu natural;
-  natural.set_ordering(sn::OrderingKind::kNatural);
-  natural.factor(a);
-  sn::SparseLu amd;
-  amd.set_ordering(sn::OrderingKind::kAmd);
+  sn::SparseLu amd;  // 200 unknowns: AMD by size
   amd.factor(a);
   EXPECT_TRUE(amd.reordered());
-  EXPECT_FALSE(natural.reordered());
-  EXPECT_LT(amd.fill_nonzeros(), natural.fill_nonzeros());
+  // The natural order's fill, counted symbolically (exact here: the mesh
+  // pattern is symmetric and diagonally dominant, so no pivot departs).
+  EXPECT_LT(amd.fill_nonzeros(),
+            sn::symbolic_fill_natural(sn::pattern_adjacency(a)));
 
-  const auto xn = natural.solve(b);
   const auto xa = amd.solve(b);
   for (std::size_t i = 0; i < x_ref.size(); ++i) {
-    EXPECT_NEAR(xn[i], x_ref[i], 1e-9);
     EXPECT_NEAR(xa[i], x_ref[i], 1e-9);
   }
 }
@@ -176,8 +171,8 @@ TEST(SparseLuOrdering, AmdSolveMatchesNaturalSolve) {
 TEST(SparseLuOrdering, AmdRefactorPathStaysNumericOnly) {
   auto a = grid_system(10);
   sn::SparseLu lu;
-  lu.set_ordering(sn::OrderingKind::kAmd);
   lu.factor(a);
+  EXPECT_TRUE(lu.reordered());
   EXPECT_EQ(lu.analyze_count(), 1u);
   const std::vector<double> b(a.size(), 1.0);
   const auto x0 = lu.solve(b);
@@ -195,41 +190,47 @@ TEST(SparseLuOrdering, AmdRefactorPathStaysNumericOnly) {
   EXPECT_GT(std::fabs(x1[0] - x0[0]), 0.0);
 }
 
-TEST(SparseLuOrdering, AutoKeepsSmallSystemsBitwiseNatural) {
-  // Below kAutoOrderingThreshold the kAuto default must produce the exact
-  // natural-order factorization: memcmp-level identity of solutions.
-  const auto a = random_system(64, 3);
-  const std::vector<double> b(a.size(), 1.0);
-  sn::SparseLu auto_lu;  // default ordering = kAuto
-  auto_lu.factor(a);
-  EXPECT_FALSE(auto_lu.reordered());
-  sn::SparseLu natural;
-  natural.set_ordering(sn::OrderingKind::kNatural);
-  natural.factor(a);
-  const auto xa = auto_lu.solve(b);
-  const auto xn = natural.solve(b);
-  ASSERT_EQ(xa.size(), xn.size());
-  EXPECT_EQ(0, std::memcmp(xa.data(), xn.data(), xa.size() * sizeof(double)));
+TEST(SparseLuOrdering, SmallSystemsKeepNaturalOrder) {
+  // Below kAutoOrderingThreshold the factorization runs in stamp order, so
+  // small-circuit results stay those of the unordered elimination.
+  for (const std::size_t n :
+       {std::size_t{64}, sn::SparseLu::kAutoOrderingThreshold - 1}) {
+    const auto a = random_system(n, 3);
+    sn::SparseLu lu;
+    lu.factor(a);
+    EXPECT_FALSE(lu.reordered()) << n << " unknowns";
+    const auto residual = multiply(a, lu.solve(std::vector<double>(n, 1.0)));
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(residual[i], 1.0, 1e-9);
+  }
 }
 
 TEST(SparseLuOrdering, AutoReordersLargeSystems) {
   const auto a = grid_system(10);  // 200 unknowns >= threshold of 128
-  sn::SparseLu lu;                 // default kAuto
+  sn::SparseLu lu;
   lu.factor(a);
   EXPECT_TRUE(lu.reordered());
   EXPECT_GE(a.size(), sn::SparseLu::kAutoOrderingThreshold);
 }
 
 TEST(SparseLuOrdering, SingularMatrixReportsOriginalColumn) {
-  // Unknown 3 is isolated (zero row/column) in a system big enough that a
-  // permutation would scramble indices if the error did not map back.
-  sn::SparseMatrix a(6);
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (i != 3) a.add(i, i, 2.0);
+  // Unknown 3 is isolated (zero row/column) in a chain big enough to be
+  // reordered. AMD eliminates the degree-0 unknown first, so the error
+  // names permuted column 0 unless it maps back to the original index.
+  const std::size_t n = sn::SparseLu::kAutoOrderingThreshold + 2;
+  sn::SparseMatrix a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 3) continue;
+    a.add(i, i, 4.0);
+    if (i + 1 < n && i + 1 != 3) {
+      a.add(i, i + 1, -1.0);
+      a.add(i + 1, i, -1.0);
+    }
   }
-  a.add(0, 1, -1.0);
-  a.add(1, 0, -1.0);
   sn::SparseLu lu;
-  lu.set_ordering(sn::OrderingKind::kAmd);
-  EXPECT_THROW(lu.factor(a), softfet::ConvergenceError);
+  try {
+    lu.factor(a);
+    FAIL() << "expected a singular-matrix error";
+  } catch (const softfet::SingularMatrixError& e) {
+    EXPECT_EQ(e.column(), 3u);
+  }
 }

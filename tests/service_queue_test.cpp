@@ -19,8 +19,6 @@
 
 #include "service/cache.hpp"
 #include "service/job_queue.hpp"
-#include "numeric/ordering.hpp"
-#include "numeric/sparse_matrix.hpp"
 #include "util/error.hpp"
 
 namespace ss = softfet::service;
@@ -120,24 +118,19 @@ TEST(NetlistCache, ContentAddressedHitsAndInvalidation) {
   ss::NetlistCache cache(4, 1u << 20);
   const std::string rc = "rc title\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1n\n.end";
 
-  const ss::CompiledNetlist first = cache.lookup(rc, "amd/direct");
-  const ss::CompiledNetlist again = cache.lookup(rc, "amd/direct");
-  EXPECT_EQ(first.ast.get(), again.ast.get());  // shared, parsed once
+  const ss::CompiledNetlist first = cache.lookup(rc);
+  const ss::CompiledNetlist again = cache.lookup(rc);
+  EXPECT_EQ(first.get(), again.get());  // shared, parsed once
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Different options fingerprint must not alias the same text.
-  const ss::CompiledNetlist other = cache.lookup(rc, "natural/iterative");
-  EXPECT_NE(other.ast.get(), first.ast.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
 
   // A single changed character is a different netlist (content addressing,
   // not path/mtime): the stale AST must not be served.
   std::string edited = rc;
   edited.replace(edited.find("1k"), 2, "2k");
-  const ss::CompiledNetlist changed = cache.lookup(edited, "amd/direct");
-  EXPECT_NE(changed.ast.get(), first.ast.get());
-  EXPECT_EQ(cache.stats().misses, 3u);
+  const ss::CompiledNetlist changed = cache.lookup(edited);
+  EXPECT_NE(changed.get(), first.get());
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(NetlistCache, LruEvictionKeepsBounds) {
@@ -145,55 +138,25 @@ TEST(NetlistCache, LruEvictionKeepsBounds) {
   const std::string a = "a\nV1 x 0 1\n.end";
   const std::string b = "b\nV1 x 0 2\n.end";
   const std::string c = "c\nV1 x 0 3\n.end";
-  (void)cache.lookup(a, "f");
-  (void)cache.lookup(b, "f");
-  (void)cache.lookup(a, "f");  // a is now MRU
-  (void)cache.lookup(c, "f");  // evicts b (LRU)
+  (void)cache.lookup(a);
+  (void)cache.lookup(b);
+  (void)cache.lookup(a);  // a is now MRU
+  (void)cache.lookup(c);  // evicts b (LRU)
   EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  (void)cache.lookup(a, "f");  // still cached
+  (void)cache.lookup(a);  // still cached
   EXPECT_EQ(cache.stats().hits, 2u);
-  (void)cache.lookup(b, "f");  // misses: b was evicted
+  (void)cache.lookup(b);  // misses: b was evicted
   EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(NetlistCache, ParseFailuresAreNotCached) {
   ss::NetlistCache cache(4, 1u << 20);
   const std::string bad = "title\n.tran\n.end";  // .tran needs arguments
-  EXPECT_THROW((void)cache.lookup(bad, "f"), softfet::Error);
-  EXPECT_THROW((void)cache.lookup(bad, "f"), softfet::Error);
+  EXPECT_THROW((void)cache.lookup(bad), softfet::Error);
+  EXPECT_THROW((void)cache.lookup(bad), softfet::Error);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(OrderingCache, MemoizesAmdPermutationsByPattern) {
-  namespace sn = softfet::numeric;
-  sn::SparseMatrix a(5);
-  for (std::size_t i = 0; i < 5; ++i) {
-    a.add(i, i, 4.0);
-    if (i + 1 < 5) {
-      a.add(i, i + 1, -1.0);
-      a.add(i + 1, i, -1.0);
-    }
-  }
-  a.add(0, 4, -0.5);
-  a.add(4, 0, -0.5);
-
-  sn::OrderingCache cache;
-  const auto first = cache.order_for(a);
-  const auto second = cache.order_for(a);
-  EXPECT_EQ(first.get(), second.get());  // served from the memo
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Bitwise-neutral: the memo returns exactly what AMD computes.
-  EXPECT_EQ(*first, sn::amd_order(a));
-
-  // Same size, different pattern -> different entry.
-  sn::SparseMatrix b(5);
-  for (std::size_t i = 0; i < 5; ++i) b.add(i, i, 1.0);
-  const auto diagonal = cache.order_for(b);
-  EXPECT_NE(diagonal.get(), first.get());
-  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(Server, JobLifecycleAndControlRequests) {

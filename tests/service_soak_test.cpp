@@ -485,54 +485,33 @@ namespace {
   return text.str();
 }
 
-/// Differential check: stream `deck` through a server under `config` and
-/// demand the reassembled chunked waveform and the .measure values be
+/// An RC ladder of `sections` 1k/1p sections driven by a pulse, with a
+/// short .tran: sections + 2 unknowns, so 126 sections or more reach the
+/// sparse LU's AMD path.
+[[nodiscard]] std::string rc_ladder_text(int sections) {
+  std::string text = "rc ladder, " + std::to_string(sections) +
+                     " sections\nV1 n0 0 PULSE(0 1 0 1n 1n 5n 20n)\n";
+  for (int k = 1; k <= sections; ++k) {
+    const std::string prev = "n" + std::to_string(k - 1);
+    const std::string node = "n" + std::to_string(k);
+    text += "R" + std::to_string(k) + " " + prev + " " + node + " 1k\n";
+    text += "C" + std::to_string(k) + " " + node + " 0 1p\n";
+  }
+  return text + ".tran 0.1n 20n\n.end\n";
+}
+
+/// Differential check: stream `deck` through a server under `config`
+/// twice (the second job parses nothing: the AST comes from the cache) and
+/// demand each reassembled chunked waveform and its .measure values be
 /// bitwise-equal to the direct library calls, and netlist::run's as well.
 /// Shared by the thread-mode and process-isolation cases: the
 /// client-visible numbers must not depend on where the handler ran.
-void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck) {
+/// `reordered`: whether the deck is big enough for the AMD ordering.
+void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck,
+                           bool reordered = false) {
   config.chunk_rows = 7;  // force multi-chunk reassembly
   const auto owned = std::make_unique<ss::Server>(config);
   ss::Server& server = *owned;
-
-  ss::JsonValue request = ss::JsonValue::object();
-  request.set("id", ss::JsonValue::string("deck"));
-  request.set("type", ss::JsonValue::string("netlist"));
-  request.set("netlist", ss::JsonValue::string(deck));
-  Transcript out;
-  server.handle_line(request.dump(), out.sink());
-  server.wait_idle();
-
-  const auto events = out.events("deck");
-  ASSERT_FALSE(events.empty());
-  ASSERT_EQ(events.back().string_or("event", ""), "result");
-
-  // Reassemble the streamed chunks into columns.
-  std::vector<std::string> columns;
-  std::vector<std::vector<double>> data;
-  std::size_t rows_seen = 0;
-  for (const auto& ev : events) {
-    if (ev.string_or("event", "") != "chunk") continue;
-    ASSERT_EQ(ev.string_or("kind", ""), "tran");
-    if (columns.empty()) {
-      for (const auto& name : ev.get("columns")->items()) {
-        columns.push_back(name.as_string());
-        data.emplace_back();
-      }
-    }
-    EXPECT_EQ(ev.number_or("row_offset", -1),
-              static_cast<double>(rows_seen));  // monotone chunk order
-    for (const auto& row : ev.get("rows")->items()) {
-      ASSERT_EQ(row.items().size(), columns.size());
-      for (std::size_t c = 0; c < columns.size(); ++c) {
-        data[c].push_back(row.items()[c].as_number());
-      }
-      ++rows_seen;
-    }
-  }
-  ASSERT_GT(rows_seen, 0u);
-  ASSERT_FALSE(columns.empty());
-  EXPECT_EQ(columns.front(), "time");
 
   // The direct library call under the rule netlist::run documents:
   // default SimOptions plus dtmax = 10 * tstep.
@@ -543,6 +522,7 @@ void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck) {
       softfet::sim::run_transient(*net.circuit, net.tran->tstop, options);
   const auto measures =
       softfet::netlist::evaluate_measures(net.measures, tran);
+  EXPECT_EQ(tran.diagnostics.reordered, reordered);
 
   // netlist::run, the path both entry points take, gives the same doubles.
   auto fresh = softfet::netlist::compile_netlist(deck);
@@ -551,6 +531,7 @@ void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck) {
       fresh, {}, [&](const softfet::netlist::AnalysisTable& t) {
         ++tables;
         ASSERT_EQ(t.kind, softfet::netlist::Analysis::kTran);
+        EXPECT_EQ(t.tran->diagnostics.reordered, reordered);
         EXPECT_EQ(t.axis, tran.time);
         ASSERT_EQ(t.table.names(), tran.table.names());
         for (std::size_t c = 0; c < t.table.columns(); ++c) {
@@ -565,25 +546,72 @@ void check_netlist_bitwise(ss::ServerConfig config, const std::string& deck) {
       });
   EXPECT_EQ(tables, 1u);
 
-  // The served chunks and .measure values against the direct call.
-  ASSERT_EQ(rows_seen, tran.time.size());
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    const std::vector<double>& direct =
-        c == 0 ? tran.time : tran.table.signal(columns[c]);
-    for (std::size_t row = 0; row < rows_seen; ++row) {
-      // Bitwise: %.17g JSON numbers round-trip doubles exactly.
-      EXPECT_EQ(data[c][row], direct[row])
-          << columns[c] << " row " << row << " differs from the direct call";
+  for (const std::string id : {"deck", "again"}) {
+    SCOPED_TRACE(id);
+    ss::JsonValue request = ss::JsonValue::object();
+    request.set("id", ss::JsonValue::string(id));
+    request.set("type", ss::JsonValue::string("netlist"));
+    request.set("netlist", ss::JsonValue::string(deck));
+    Transcript out;
+    server.handle_line(request.dump(), out.sink());
+    server.wait_idle();
+
+    const auto events = out.events(id);
+    ASSERT_FALSE(events.empty());
+    ASSERT_EQ(events.back().string_or("event", ""), "result");
+
+    // Reassemble the streamed chunks into columns.
+    std::vector<std::string> columns;
+    std::vector<std::vector<double>> data;
+    std::size_t rows_seen = 0;
+    for (const auto& ev : events) {
+      if (ev.string_or("event", "") != "chunk") continue;
+      ASSERT_EQ(ev.string_or("kind", ""), "tran");
+      if (columns.empty()) {
+        for (const auto& name : ev.get("columns")->items()) {
+          columns.push_back(name.as_string());
+          data.emplace_back();
+        }
+      }
+      EXPECT_EQ(ev.number_or("row_offset", -1),
+                static_cast<double>(rows_seen));  // monotone chunk order
+      for (const auto& row : ev.get("rows")->items()) {
+        ASSERT_EQ(row.items().size(), columns.size());
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+          data[c].push_back(row.items()[c].as_number());
+        }
+        ++rows_seen;
+      }
+    }
+    ASSERT_GT(rows_seen, 0u);
+    ASSERT_FALSE(columns.empty());
+    EXPECT_EQ(columns.front(), "time");
+
+    // The served chunks and .measure values against the direct call.
+    ASSERT_EQ(rows_seen, tran.time.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const std::vector<double>& direct =
+          c == 0 ? tran.time : tran.table.signal(columns[c]);
+      for (std::size_t row = 0; row < rows_seen; ++row) {
+        // Bitwise: %.17g JSON numbers round-trip doubles exactly.
+        EXPECT_EQ(data[c][row], direct[row])
+            << columns[c] << " row " << row << " differs from the direct call";
+      }
+    }
+    const ss::JsonValue* summary = events.back().get("tran");
+    ASSERT_NE(summary, nullptr);
+    EXPECT_EQ(summary->number_or("accepted_steps", -1),
+              static_cast<double>(tran.accepted_steps));
+    const ss::JsonValue* served = events.back().get("measures");
+    ASSERT_EQ(served != nullptr, !measures.empty());
+    for (const auto& m : measures) {
+      EXPECT_EQ(served->number_or(m.name, -1), m.value) << m.name;
     }
   }
-  const ss::JsonValue* summary = events.back().get("tran");
-  ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(summary->number_or("accepted_steps", -1),
-            static_cast<double>(tran.accepted_steps));
-  const ss::JsonValue* served = events.back().get("measures");
-  ASSERT_EQ(served != nullptr, !measures.empty());
-  for (const auto& m : measures) {
-    EXPECT_EQ(served->number_or(m.name, -1), m.value) << m.name;
+  // Thread mode parses in this process, so its cache shows the hit (a
+  // process-mode worker keeps its own cache).
+  if (config.isolation == ss::IsolationMode::kThread) {
+    EXPECT_EQ(server.stats().cache.hits, 1u);
   }
 }
 
@@ -689,6 +717,14 @@ TEST(ServiceSoak, InverterDeckMatchesTheDirectRunBitwise) {
   ss::ServerConfig config;
   config.workers = 1;
   check_netlist_bitwise(config, example_netlist("softfet_inverter.sp"));
+}
+
+// The sparse LU reorders from 128 unknowns on: a 130-section ladder (132
+// unknowns) pins that path from request to chunk.
+TEST(ServiceSoak, AmdLadderMatchesTheDirectRunBitwise) {
+  ss::ServerConfig config;
+  config.workers = 1;
+  check_netlist_bitwise(config, rc_ladder_text(130), /*reordered=*/true);
 }
 
 TEST(ServiceSoak, KilledDaemonResumesMonteCarloBitwise) {
@@ -970,6 +1006,11 @@ TEST(ServiceHardFault, NetlistResultsBitwiseUnderProcessIsolation) {
 TEST(ServiceHardFault, InverterDeckMatchesTheDirectRunUnderProcessIsolation) {
   check_netlist_bitwise(process_config(1),
                         example_netlist("softfet_inverter.sp"));
+}
+
+TEST(ServiceHardFault, AmdLadderMatchesTheDirectRunUnderProcessIsolation) {
+  check_netlist_bitwise(process_config(1), rc_ladder_text(130),
+                        /*reordered=*/true);
 }
 
 TEST(ServiceHardFault, KilledDaemonResumesBitwiseUnderProcessIsolation) {
