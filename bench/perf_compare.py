@@ -2,7 +2,7 @@
 """Compare perfbench on two checkouts on one machine and fail on regression.
 
 Usage:
-    perf_compare.py --base ROOT --head ROOT [--pairs 5] [--seconds 5]
+    perf_compare.py --base ROOT --head ROOT [--pairs 7] [--seconds 5]
 
 For each workload in the head's BENCHMARK.json, runs --pairs pairs of
 
@@ -113,7 +113,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base checkout root")
     parser.add_argument("--head", required=True, help="head checkout root")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=5)
     args = parser.parse_args()
     if args.pairs < 1:

@@ -3,7 +3,7 @@
 //   $ ./softfet_server [--socket /path/daemon.sock] [--workers N]
 //                      [--queue-depth N] [--state-dir DIR]
 //                      [--cache-entries N] [--default-timeout seconds]
-//                      [--retry-attempts N] [--isolation thread|process]
+//                      [--isolation thread|process]
 //                      [--worker-memory bytes] [--once] [--version]
 //
 // Requests arrive one JSON object per line on stdin and (when --socket is
@@ -20,12 +20,13 @@
 //
 // Robustness contract (see src/service/server.hpp): bounded admission with
 // structured `overloaded` rejections, per-job wall-clock budgets and
-// cooperative cancel, bounded retry with backoff for convergence trouble,
-// structured NDJSON errors for everything else — a poisoned job can never
-// take the daemon down. With --state-dir, admitted jobs journal their
-// request and Monte-Carlo jobs checkpoint samples, so a killed daemon
-// restarted with the same --state-dir resumes in-flight jobs and finishes
-// them bitwise-identically. SIGTERM and SIGINT both drain: stop admissions,
+// cooperative cancel, one immediate tightened rerun for convergence
+// trouble, a 64 MiB cap on each attempt's streamed output, structured
+// NDJSON errors for everything else — a poisoned job can never take the
+// daemon down. With --state-dir, admitted jobs journal their request and
+// Monte-Carlo jobs checkpoint samples, so a killed daemon restarted with
+// the same --state-dir resumes in-flight jobs and finishes them
+// bitwise-identically. SIGTERM and SIGINT both drain: stop admissions,
 // cancel in-flight jobs cooperatively (checkpoints flush), emit their
 // `cancelled` responses, exit 143/130.
 //
@@ -202,9 +203,6 @@ int run(int argc, char** argv) {
     } else if (arg == "--default-timeout") {
       opt.config.default_timeout_seconds =
           std::strtod(need_value("--default-timeout"), nullptr);
-    } else if (arg == "--retry-attempts") {
-      opt.config.retry.max_attempts = static_cast<int>(
-          std::strtol(need_value("--retry-attempts"), nullptr, 10));
     } else if (arg == "--isolation") {
       const std::string mode = need_value("--isolation");
       if (mode == "thread") {
@@ -228,9 +226,8 @@ int run(int argc, char** argv) {
           stderr,
           "usage: softfet_server [--socket path] [--workers N] "
           "[--queue-depth N] [--state-dir dir] [--cache-entries N] "
-          "[--default-timeout seconds] [--retry-attempts N] "
-          "[--isolation thread|process] [--worker-memory bytes] "
-          "[--once] [--version]\n");
+          "[--default-timeout seconds] [--isolation thread|process] "
+          "[--worker-memory bytes] [--once] [--version]\n");
       return 2;
     }
   }

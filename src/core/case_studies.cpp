@@ -15,19 +15,17 @@ using measure::Waveform;
 
 namespace {
 
-/// Run a case-study leg; on a ConvergenceError retry once under tightened
-/// options and flag the outcome. A second failure propagates — unlike the
-/// batch sweeps, a case study has nothing meaningful to report without
-/// both legs. Budget/cancel stops propagate immediately: retrying them
-/// doubles the spent wall clock (or defeats the cancel).
+/// Run a case-study leg; when classify_failure() grants a rerun, run it
+/// once more under tightened options and flag the outcome. Any other
+/// failure, and a second one, propagates — unlike the batch sweeps, a case
+/// study has nothing meaningful to report without both legs.
 template <typename Runner>
 [[nodiscard]] auto with_retry(const Runner& runner,
                               const sim::SimOptions& options) {
   try {
     return runner(options);
-  } catch (const BudgetExceededError&) {
-    throw;
-  } catch (const ConvergenceError& e) {
+  } catch (const std::exception& e) {
+    if (classify_failure(e) != FailureClass::kRerun) throw;
     util::log_warn(std::string("case study: retrying with tightened "
                                "options after: ") +
                    e.what());

@@ -106,7 +106,7 @@ FailureRecord decode_failure(std::size_t index, const std::string& tail) {
   std::string context;
   std::string message;
   if (!(in >> retried >> stop >> context >> message) || stop < 0 ||
-      stop > static_cast<int>(util::BudgetStop::kNewtonIterations)) {
+      stop > static_cast<int>(util::BudgetStop::kOutputBytes)) {
     throw Error("checkpoint: malformed failure payload '" + tail + "'");
   }
   FailureRecord failure;

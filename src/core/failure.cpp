@@ -4,6 +4,18 @@
 
 namespace softfet::core {
 
+FailureClass classify_failure(const std::exception& error) {
+  if (const auto* budget = dynamic_cast<const BudgetExceededError*>(&error)) {
+    return budget->stop() == util::BudgetStop::kCancel
+               ? FailureClass::kCancelled
+               : FailureClass::kFinal;
+  }
+  if (dynamic_cast<const ConvergenceError*>(&error) != nullptr) {
+    return FailureClass::kRerun;
+  }
+  return FailureClass::kFinal;
+}
+
 void require_complete(const sim::TranResult& tran, const std::string& who) {
   if (!tran.truncated) return;
   SolverDiagnostics d = tran.diagnostics;

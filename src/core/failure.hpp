@@ -1,9 +1,12 @@
-// Failure isolation for batch drivers: a failed sample or grid point is
-// recorded as a structured FailureRecord (optionally after one retry under
-// tightened solver options) instead of poisoning the whole parallel run.
+// Failure isolation and the one rerun policy. classify_failure() decides
+// whether a failure earns a rerun under tightened solver options; the batch
+// drivers (run_isolated), the case studies and the service all follow it.
+// A failed sample or grid point is recorded as a structured FailureRecord
+// instead of poisoning the whole parallel run.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -35,6 +38,21 @@ struct FailureRecord {
   }
 };
 
+/// How a failed run is treated.
+enum class FailureClass {
+  kRerun,      ///< rerun once under tightened_options()
+  kFinal,      ///< report as is
+  kCancelled,  ///< a cooperative cancel: final, and not the run's own fault
+};
+
+/// The one rerun rule. A BudgetExceededError is final (kCancelled when its
+/// stop is the cancel token): rerunning a run that ran out of budget only
+/// doubles the spent wall clock, and rerunning under a cancel defeats it.
+/// Any other ConvergenceError, SingularMatrixError included, gets one
+/// rerun. Everything else — ParseError, InvalidCircuitError, non-softfet
+/// exceptions — would fail the same way again and is final.
+[[nodiscard]] FailureClass classify_failure(const std::exception& error);
+
 /// Conservative option set for retrying a failed batch point: backward
 /// Euler everywhere, a larger Newton budget, and an earlier, stronger
 /// recovery ladder. Slower but markedly more robust.
@@ -51,13 +69,10 @@ void require_complete(const sim::TranResult& tran, const std::string& who);
 /// lands promptly even outside parallel loops.
 void throw_if_cancelled(const sim::SimOptions& options, const char* who);
 
-/// Run `body(options)`; on a ConvergenceError retry once with
-/// tightened_options(). Returns nullopt on success, otherwise a
-/// FailureRecord describing the final error. Budget/cancel stops are
-/// recorded WITHOUT the retry: retrying a point that ran out of budget only
-/// doubles the spent wall clock, and retrying under cancellation defeats
-/// the cancel. Non-softfet exceptions propagate: they indicate bugs, not
-/// convergence trouble.
+/// Run `body(options)`; when classify_failure() says kRerun, run it once
+/// more with tightened_options(). Returns nullopt on success, otherwise a
+/// FailureRecord describing the final error. Non-softfet exceptions
+/// propagate: they indicate bugs, not convergence trouble.
 template <typename Body>
 [[nodiscard]] std::optional<FailureRecord> run_isolated(
     std::size_t index, std::string context, const sim::SimOptions& options,
@@ -80,17 +95,16 @@ template <typename Body>
   try {
     body(options);
     return std::nullopt;
-  } catch (const BudgetExceededError& e) {
-    return record(e, /*retried=*/false);
-  } catch (const ConvergenceError&) {
-    try {
-      body(tightened_options(options));
-      return std::nullopt;
-    } catch (const Error& e) {
-      return record(e, /*retried=*/true);
-    }
   } catch (const Error& e) {
-    return record(e, /*retried=*/false);
+    if (classify_failure(e) != FailureClass::kRerun) {
+      return record(e, /*retried=*/false);
+    }
+  }
+  try {
+    body(tightened_options(options));
+    return std::nullopt;
+  } catch (const Error& e) {
+    return record(e, /*retried=*/true);
   }
 }
 

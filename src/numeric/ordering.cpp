@@ -181,62 +181,4 @@ std::vector<std::size_t> amd_order(const SparseMatrix& a) {
   return amd_order(pattern_adjacency(a));
 }
 
-std::size_t symbolic_fill(const std::vector<std::vector<std::size_t>>& adjacency,
-                          const std::vector<std::size_t>& order) {
-  const std::size_t n = adjacency.size();
-  if (order.size() != n) throw Error("symbolic_fill: order size mismatch");
-
-  // Simulated elimination over reach sets: when v is eliminated its live
-  // neighbors become a clique. Row v of L+U holds v's live neighbors (upper
-  // and lower meet by symmetry) plus the diagonal.
-  std::vector<std::size_t> position(n);
-  for (std::size_t k = 0; k < n; ++k) position[order[k]] = k;
-
-  std::vector<std::vector<std::size_t>> reach = adjacency;
-  std::vector<bool> eliminated(n, false);
-  MarkSet members(n);
-  std::vector<std::size_t> live;
-  std::size_t nnz = 0;
-
-  for (const std::size_t v : order) {
-    live.clear();
-    members.clear();
-    members.insert(v);
-    for (const std::size_t u : reach[v]) {
-      if (eliminated[u] || members.contains(u)) continue;
-      members.insert(u);
-      live.push_back(u);
-    }
-    // Row + column of v in the factor: one diagonal, then each live
-    // neighbor appears once above and once below.
-    nnz += 1 + 2 * live.size();
-    eliminated[v] = true;
-    reach[v].clear();
-    reach[v].shrink_to_fit();
-
-    // Connect the live neighbors pairwise. Appending v's clique list to
-    // each member (minus itself) and pruning lazily keeps this near the
-    // cost of the produced fill.
-    for (const std::size_t u : live) {
-      auto& r = reach[u];
-      r.erase(std::remove_if(r.begin(), r.end(),
-                             [&](std::size_t w) {
-                               return eliminated[w] || members.contains(w);
-                             }),
-              r.end());
-      for (const std::size_t w : live) {
-        if (w != u) r.push_back(w);
-      }
-    }
-  }
-  return nnz;
-}
-
-std::size_t symbolic_fill_natural(
-    const std::vector<std::vector<std::size_t>>& adjacency) {
-  std::vector<std::size_t> order(adjacency.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return symbolic_fill(adjacency, order);
-}
-
 }  // namespace softfet::numeric

@@ -12,10 +12,6 @@
 // absorption. Ties break on the lowest original index, so the permutation
 // is a pure function of the pattern — identical across platforms and runs,
 // which the bitwise-reproducibility contract of the simulator requires.
-//
-// symbolic_fill() predicts nnz(L+U) of a no-pivoting elimination of the
-// symmetrized pattern under a given order. It is how benchmarks and tests
-// compare orderings without paying for the bad factorization.
 #pragma once
 
 #include <cstddef>
@@ -38,17 +34,5 @@ namespace softfet::numeric {
 
 /// Convenience: symmetrize `a`'s pattern and order it.
 [[nodiscard]] std::vector<std::size_t> amd_order(const SparseMatrix& a);
-
-/// Structural nnz(L+U) (diagonal counted once) of eliminating the
-/// symmetrized pattern in `order` without pivoting. An exact count for
-/// symmetric-pattern matrices; a lower bound once partial pivoting departs
-/// from the diagonal.
-[[nodiscard]] std::size_t symbolic_fill(
-    const std::vector<std::vector<std::size_t>>& adjacency,
-    const std::vector<std::size_t>& order);
-
-/// symbolic_fill of the natural (identity) order.
-[[nodiscard]] std::size_t symbolic_fill_natural(
-    const std::vector<std::vector<std::size_t>>& adjacency);
 
 }  // namespace softfet::numeric

@@ -1,9 +1,17 @@
 #include "service/cache.hpp"
 
 #include "netlist/parser.hpp"
-#include "service/retry.hpp"
 
 namespace softfet::service {
+
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
 
 NetlistCache::NetlistCache(std::size_t max_entries, std::size_t max_bytes)
     : max_entries_(max_entries == 0 ? 1 : max_entries),

@@ -18,10 +18,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "netlist/ast.hpp"
 
 namespace softfet::service {
+
+/// FNV-1a 64-bit hash: the cache's bucket key, the worker's `work_hash`
+/// and the job-state file stem.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view text);
 
 /// The shareable, immutable part of a compiled netlist: its parsed AST.
 using CompiledNetlist = std::shared_ptr<const netlist::NetlistAst>;

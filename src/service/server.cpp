@@ -70,7 +70,6 @@ Server::Server(ServerConfig config)
       cache_(config_.cache_entries, config_.cache_bytes),
       queue_(config_.queue_capacity) {
   if (config_.workers == 0) config_.workers = 1;
-  if (config_.retry.max_attempts < 1) config_.retry.max_attempts = 1;
   handlers_["netlist"] = netlist_job_handler();
   handlers_["monte_carlo"] = monte_carlo_job_handler();
   if (!config_.state_dir.empty()) {
@@ -487,9 +486,16 @@ AttemptOutcome run_handler_attempt(const JobHandler& handler,
   ctx.attempt = actx.attempt;
   ctx.checkpoint_path = actx.checkpoint_path;
   bool finished = false;
+  std::size_t streamed = 0;
   ctx.emit = [&](const char* event, JsonValue fields) {
     if (finished) return;  // terminal latch: nothing streams past finish()
-    if (actx.emit) actx.emit(event, std::move(fields));
+    if (actx.emit) streamed += actx.emit(event, std::move(fields));
+    if (streamed > kMaxStreamedBytes) {
+      throw BudgetExceededError(
+          "job output exceeded " + std::to_string(kMaxStreamedBytes) +
+              " bytes",
+          util::BudgetStop::kOutputBytes);
+    }
   };
   ctx.finish = [&](JsonValue fields) {
     if (finished) return;
@@ -512,18 +518,18 @@ AttemptOutcome run_handler_attempt(const JobHandler& handler,
       return out;
     }
     out.message = e.what();
-    out.failure_class = classify_failure(e);
-    if (out.failure_class == FailureClass::kCancelled) {
+    const core::FailureClass cls = core::classify_failure(e);
+    if (cls == core::FailureClass::kCancelled) {
       out.kind = AttemptOutcome::Kind::kCancelled;
       out.fields = JsonValue::object();
     } else {
       out.kind = AttemptOutcome::Kind::kError;
+      out.rerun = cls == core::FailureClass::kRerun;
       out.fields = error_event_fields(e, request.raw_line);
     }
   } catch (...) {
     const Error error("unknown exception in handler");
     out.kind = AttemptOutcome::Kind::kError;
-    out.failure_class = FailureClass::kTerminal;
     out.message = error.what();
     out.fields = error_event_fields(error, request.raw_line);
   }
@@ -612,31 +618,12 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
     emit_event(job, "started", std::move(fields), false);
   }
 
-  const std::uint64_t jitter_seed = fnv1a64(job->request.id);
-  std::string last_failure;
-  for (int attempt = 1; attempt <= config_.retry.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      const unsigned delay = backoff_ms(config_.retry, attempt, jitter_seed);
-      ++retries_;
-      JsonValue fields = JsonValue::object();
-      fields.set("attempt", JsonValue::number(attempt));
-      fields.set("backoff_ms", JsonValue::number(delay));
-      fields.set("message", JsonValue::string(last_failure));
-      emit_event(job, "retrying", std::move(fields), false);
-      // Cancellable backoff sleep (5 ms granularity).
-      for (unsigned slept = 0; slept < delay && !job->cancel.requested();
-           slept += 5) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::min(5u, delay - slept)));
-      }
-      if (job->cancel.requested()) {
-        emit_cancelled("cancelled during retry backoff");
-        return;
-      }
-    }
-
+  // At most two attempts: a failure core::classify_failure grants a rerun
+  // runs once more, at once, under tightened options. Every later rerun
+  // would repeat the same deterministic input under the same options.
+  for (int attempt = 1;; ++attempt) {
     // One attempt, in this thread or in the slot's worker process; both
-    // paths classify into the same outcome, so the retry policy and the
+    // paths classify into the same outcome, so the rerun decision and the
     // emitted event stream are isolation-independent.
     AttemptOutcome verdict;
     if (supervisor_) {
@@ -665,7 +652,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
       actx.timeout_seconds = timeout;
       actx.checkpoint_path = checkpoint_path_for(job->request);
       actx.emit = [this, job](const char* event, JsonValue fields) {
-        emit_event(job, event, std::move(fields), false);
+        return emit_event(job, event, std::move(fields), false);
       };
       verdict = run_handler_attempt(handler->second, job->request, actx);
     }
@@ -680,9 +667,16 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
         emit_cancelled(verdict.message);
         return;
       case AttemptOutcome::Kind::kError:
-        if (verdict.failure_class == FailureClass::kTransient &&
-            attempt < config_.retry.max_attempts) {
-          last_failure = verdict.message;
+        if (verdict.rerun && attempt == 1) {
+          ++retries_;
+          JsonValue fields = JsonValue::object();
+          fields.set("attempt", JsonValue::number(2));
+          fields.set("message", JsonValue::string(verdict.message));
+          emit_event(job, "retrying", std::move(fields), false);
+          if (job->cancel.requested()) {
+            emit_cancelled("cancelled before retry");
+            return;
+          }
           continue;
         }
         ++failed_;
@@ -701,17 +695,19 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
   }
 }
 
-void Server::emit_event(const JobPtr& job, const char* event, JsonValue fields,
-                        bool terminal) {
+std::size_t Server::emit_event(const JobPtr& job, const char* event,
+                               JsonValue fields, bool terminal) {
   // Sink calls happen under the emit lock: response lines are serialized
   // process-wide and every job's seq order equals its line order. Sinks
   // must not call back into the Server.
   const std::lock_guard<std::mutex> lock(emit_mutex_);
-  if (job->terminal) return;  // never emit past a terminal event
+  if (job->terminal) return 0;  // never emit past a terminal event
   if (terminal) job->terminal = true;
   JsonValue out = make_event(job->request.id, job->seq++, event);
   for (const auto& [key, value] : fields.members()) out.set(key, value);
-  job->sink(out.dump());
+  const std::string line = out.dump();
+  job->sink(line);
+  return line.size();
 }
 
 void Server::emit_event_raw(const JobPtr& job, const char* event,

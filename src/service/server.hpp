@@ -13,12 +13,14 @@
 //               neighbors, and every throw — ParseError to std::bad_alloc —
 //               maps to a structured `error` response (a job can never take
 //               the process down);
-//   retries     ConvergenceErrors re-run under core::tightened_options with
-//               exponential backoff + deterministic jitter (retry.hpp);
-//               parse/validation errors and budget exhaustion are terminal;
-//   caching     a content-addressed NetlistCache shares parsed ASTs and AMD
-//               ordering memos across requests of the same netlist,
-//               LRU-bounded, bitwise-neutral;
+//   reruns      a failure core::classify_failure grants a rerun (a
+//               ConvergenceError) runs once more, at once, under
+//               core::tightened_options; parse/validation errors and budget
+//               exhaustion are final;
+//   output      each attempt streams at most kMaxStreamedBytes of events,
+//               then the job ends in a `budget_exhausted` error;
+//   caching     a content-addressed NetlistCache shares parsed ASTs across
+//               requests of the same netlist, LRU-bounded, bitwise-neutral;
 //   resilience  admitted jobs journal their request line into state_dir and
 //               Monte-Carlo jobs checkpoint per-sample via util::Checkpoint;
 //               a killed daemon re-admits journaled jobs on restart through
@@ -48,7 +50,6 @@
 #include "service/cache.hpp"
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
-#include "service/retry.hpp"
 #include "sim/options.hpp"
 #include "util/budget.hpp"
 #include "util/subprocess.hpp"
@@ -79,7 +80,6 @@ struct ServerConfig {
   double default_timeout_seconds = 30.0;     ///< per-job budget default
   double max_timeout_seconds = 300.0;        ///< per-job budget ceiling
   std::size_t chunk_rows = 256;       ///< waveform rows per `chunk` event
-  RetryPolicy retry;                  ///< transient-failure retry policy
   std::string state_dir;              ///< journal/checkpoint dir ("" = off)
   std::size_t cache_entries = 32;     ///< NetlistCache entry bound
   std::size_t cache_bytes = 8u << 20; ///< NetlistCache byte bound
@@ -111,6 +111,11 @@ struct ServerStats {
   std::size_t deadline_kills = 0;     ///< workers killed past job deadline
   NetlistCacheStats cache;
 };
+
+/// Cap on the non-terminal event bytes one job attempt may stream. Past it
+/// the attempt throws BudgetExceededError(kOutputBytes): a budget-stopped
+/// transient would otherwise stream its whole partial waveform.
+inline constexpr std::size_t kMaxStreamedBytes = std::size_t{64} << 20;
 
 /// Response-line consumer. Must be callable from worker threads; the
 /// server serializes calls (one line at a time, never interleaved).
@@ -147,13 +152,14 @@ struct WorkerCrash {
 /// attempt layer below is the single implementation both execution modes
 /// use: thread mode calls it on a worker thread; process mode calls it
 /// inside the forked worker and ships the outcome back over the pipe — so
-/// retry classification, error shaping, and the emit/finish contract stay
+/// the rerun decision, error shaping, and the emit/finish contract stay
 /// byte-for-byte identical across isolation modes. Only process mode adds
 /// kCrashed: the worker died and `crash` says how.
 struct AttemptOutcome {
   enum class Kind { kResult, kError, kCancelled, kCrashed };
   Kind kind = Kind::kError;
-  FailureClass failure_class = FailureClass::kTerminal;
+  /// kError only: core::classify_failure granted one tightened rerun.
+  bool rerun = false;
   std::string message;
   /// kResult: the handler's finish() payload; kError: the full `error`
   /// event fields; kCancelled: an empty object.
@@ -170,10 +176,11 @@ struct AttemptContext {
   int attempt = 1;
   double timeout_seconds = 0.0;
   std::string checkpoint_path;
-  /// Non-terminal event pass-through (chunk/progress). Events arriving
+  /// Non-terminal event pass-through (chunk/progress); returns the bytes
+  /// it wrote, which count against kMaxStreamedBytes. Events arriving
   /// after the handler's finish() are dropped, matching the server's
   /// terminal latch.
-  std::function<void(const char* event, JsonValue fields)> emit;
+  std::function<std::size_t(const char* event, JsonValue fields)> emit;
 };
 
 /// Run one handler attempt to a classified outcome. Never throws: every
@@ -256,8 +263,9 @@ class Server {
 
   void worker_loop(std::size_t slot);
   void run_job(const JobPtr& job, std::size_t slot);
-  void emit_event(const JobPtr& job, const char* event, JsonValue fields,
-                  bool terminal);
+  /// Returns the bytes of the line written (0 past a terminal event).
+  std::size_t emit_event(const JobPtr& job, const char* event,
+                         JsonValue fields, bool terminal);
   /// Non-terminal event whose fields are already serialized (a worker
   /// frame): splices the JSON object's members into the response line,
   /// byte-identical to emit_event but without re-parsing the fields.

@@ -40,12 +40,6 @@ constexpr double kRespawnBackoffMaxSeconds = 2.0;
   return f;
 }
 
-[[nodiscard]] FailureClass failure_class_from(const std::string& name) {
-  if (name == "transient") return FailureClass::kTransient;
-  if (name == "cancelled") return FailureClass::kCancelled;
-  return FailureClass::kTerminal;
-}
-
 // ---------------------------------------------------------------------------
 // Worker child. Everything below the fork: fresh objects only (its own
 // cache, tokens, threads); the parent's Server state — mutexes, sinks,
@@ -128,12 +122,11 @@ void child_reader_loop(ChildState& st, int job_fd, int heartbeat_ms) {
 /// crashed worker sends no terminal frame, so kCrashed has no name.
 constexpr const char* kTerminalOutcomes[] = {"result", "error", "cancelled"};
 
-void child_send_terminal(ChildState& st, const char* outcome,
-                         FailureClass cls, const std::string& message,
-                         JsonValue fields) {
+void child_send_terminal(ChildState& st, const char* outcome, bool rerun,
+                         const std::string& message, JsonValue fields) {
   JsonValue t = frame_object("terminal");
   t.set("outcome", JsonValue::string(outcome));
-  t.set("class", JsonValue::string(to_string(cls)));
+  t.set("rerun", JsonValue::boolean(rerun));
   if (!message.empty()) t.set("message", JsonValue::string(message));
   t.set("fields", std::move(fields));
   (void)child_send(st, t);
@@ -165,7 +158,7 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
     // The parent admitted this line, so it parsed once already; failing
     // here means the job frame was damaged in transit. Terminal, never
     // retried.
-    child_send_terminal(st, "error", FailureClass::kTerminal, e.what(),
+    child_send_terminal(st, "error", /*rerun=*/false, e.what(),
                         error_event_fields(e, line));
   }
 
@@ -185,7 +178,7 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
     const auto handler = cfg.handlers->find(request.type);
     if (handler == cfg.handlers->end()) {
       const Error error("no handler for '" + request.type + "'");
-      child_send_terminal(st, "error", FailureClass::kTerminal, error.what(),
+      child_send_terminal(st, "error", /*rerun=*/false, error.what(),
                           error_event_fields(error, line));
     } else {
       AttemptContext actx;
@@ -212,13 +205,13 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
         payload += fields_json;
         const std::lock_guard<std::mutex> lock(st.write_mutex);
         (void)util::write_frame(st.result_fd, payload);
+        return payload.size();
       };
 
       util::crash_set_stage(("handler:" + request.type).c_str());
       AttemptOutcome out = run_handler_attempt(handler->second, request, actx);
       child_send_terminal(st, kTerminalOutcomes[static_cast<int>(out.kind)],
-                          out.failure_class, out.message,
-                          std::move(out.fields));
+                          out.rerun, out.message, std::move(out.fields));
     }
   }
 
@@ -240,9 +233,9 @@ int worker_child_main(const SupervisorConfig& cfg, int job_fd, int result_fd,
 
   ChildState st;
   st.result_fd = result_fd;
-  // Fresh per-worker cache: netlist ASTs and ordering memos amortize
-  // across this worker's jobs but are rebuilt after a respawn (a crashed
-  // worker's cache is suspect by definition).
+  // Fresh per-worker cache: netlist ASTs amortize across this worker's
+  // jobs but are rebuilt after a respawn (a crashed worker's cache is
+  // suspect by definition).
   NetlistCache cache(cfg.server_config->cache_entries,
                      cfg.server_config->cache_bytes);
 
@@ -420,7 +413,6 @@ AttemptOutcome Supervisor::retire_worker(std::size_t slot_index,
 
   AttemptOutcome verdict;
   verdict.kind = AttemptOutcome::Kind::kCrashed;
-  verdict.failure_class = FailureClass::kTerminal;
   verdict.crash.reason = reason;
 
   if (pid > 0) {
@@ -494,7 +486,6 @@ AttemptOutcome Supervisor::run_job(
     if (cancel.requested()) {
       AttemptOutcome verdict;
       verdict.kind = AttemptOutcome::Kind::kCancelled;
-      verdict.failure_class = FailureClass::kCancelled;
       verdict.message = "cancelled while waiting for a worker";
       return verdict;
     }
@@ -568,8 +559,7 @@ AttemptOutcome Supervisor::run_job(
             verdict.kind = static_cast<AttemptOutcome::Kind>(k);
           }
         }
-        verdict.failure_class =
-            failure_class_from(reply.string_or("class", "terminal"));
+        verdict.rerun = reply.bool_or("rerun", false);
         verdict.message = reply.string_or("message", "");
         if (const JsonValue* fields = reply.get("fields")) {
           verdict.fields = *fields;

@@ -18,12 +18,13 @@
 //                    {"kind":"heartbeat"}         liveness while busy
 //                    E<name>\n<fields JSON>       chunk/progress (raw:
 //                                                 spliced, never re-parsed)
-//                    {"kind":"terminal", outcome, class, message, fields}
+//                    {"kind":"terminal", outcome, rerun, message, fields}
 //
-// The retry loop stays in the parent: a worker runs exactly one attempt
-// per job frame and reports a classified outcome, so thread and process
-// mode share the same attempt semantics (service::run_handler_attempt)
-// and the client-visible event stream is byte-for-byte identical.
+// The rerun decision stays in the parent: a worker runs exactly one
+// attempt per job frame and reports its outcome plus one `rerun` bit, so
+// thread and process mode share the same attempt semantics
+// (service::run_handler_attempt) and the client-visible event stream is
+// byte-for-byte identical.
 //
 // Worker death is detected three ways, each mapped to a reason string in
 // the crash forensics:

@@ -13,6 +13,7 @@ const char* to_string(BudgetStop stop) {
     case BudgetStop::kAcceptedSteps: return "accepted-step budget exhausted";
     case BudgetStop::kNewtonIterations:
       return "newton-iteration budget exhausted";
+    case BudgetStop::kOutputBytes: return "output-byte budget exhausted";
   }
   return "unknown budget stop";
 }

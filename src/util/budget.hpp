@@ -66,6 +66,7 @@ enum class BudgetStop {
   kWallClock,         ///< the wall-clock deadline passed
   kAcceptedSteps,     ///< accepted-step cap reached
   kNewtonIterations,  ///< cumulative Newton-iteration cap reached
+  kOutputBytes,       ///< a service job's streamed-output cap reached
 };
 
 [[nodiscard]] const char* to_string(BudgetStop stop);

@@ -110,10 +110,8 @@ class ConvergenceError : public Error {
 };
 
 /// A run stopped by its RunBudget or a cooperative cancel request rather
-/// than by a numerical failure. Batch drivers record these as isolated
-/// FailureRecords WITHOUT the tightened-options retry (retrying a point
-/// that ran out of budget only doubles the spent wall clock, and retrying
-/// under cancellation defeats the cancel).
+/// than by a numerical failure. core::classify_failure never grants it the
+/// tightened-options rerun other ConvergenceErrors get.
 class BudgetExceededError : public ConvergenceError {
  public:
   BudgetExceededError(const std::string& what, util::BudgetStop stop);

@@ -1,10 +1,13 @@
-// PTM sensitivity and Monte-Carlo variability analysis.
+// PTM sensitivity and Monte-Carlo variability analysis, and the one rerun
+// rule (core::classify_failure) their failure isolation follows.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 
+#include "core/failure.hpp"
 #include "core/variation.hpp"
 #include "devices/ptm.hpp"
 #include "fault_injection.hpp"
@@ -34,6 +37,27 @@ void poison_samples_2_and_5(std::size_t k,
   };
 }
 }  // namespace
+
+TEST(FailurePolicy, ClassifiesFailures) {
+  using softfet::util::BudgetStop;
+  EXPECT_EQ(sc::classify_failure(softfet::ConvergenceError("newton diverged")),
+            sc::FailureClass::kRerun);
+  EXPECT_EQ(sc::classify_failure(softfet::SingularMatrixError("singular", 3)),
+            sc::FailureClass::kRerun);
+  EXPECT_EQ(sc::classify_failure(softfet::BudgetExceededError(
+                "wall clock", BudgetStop::kWallClock)),
+            sc::FailureClass::kFinal);
+  EXPECT_EQ(sc::classify_failure(softfet::BudgetExceededError(
+                "step cap", BudgetStop::kAcceptedSteps)),
+            sc::FailureClass::kFinal);
+  EXPECT_EQ(sc::classify_failure(softfet::BudgetExceededError(
+                "cancelled", BudgetStop::kCancel)),
+            sc::FailureClass::kCancelled);
+  EXPECT_EQ(sc::classify_failure(softfet::ParseError("bad", 1)),
+            sc::FailureClass::kFinal);
+  EXPECT_EQ(sc::classify_failure(std::runtime_error("bug")),
+            sc::FailureClass::kFinal);
+}
 
 TEST(Sensitivity, RequiresSoftFetAndSaneDelta) {
   softfet::cells::InverterTestbenchSpec plain;

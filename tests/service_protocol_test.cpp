@@ -1,23 +1,19 @@
 // NDJSON protocol unit tests: JSON parse/dump round trips, pinpointed
-// parse errors (line/column), request validation, retry classification and
-// backoff bounds, and the mapping of netlist-relative error positions back
-// to columns of the original request line (walking the \n escapes).
+// parse errors (line/column), request validation, and the mapping of
+// netlist-relative error positions back to columns of the original request
+// line (walking the \n escapes).
 #include "service/protocol.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
 #include "netlist/parser.hpp"
 #include "service/json.hpp"
-#include "service/retry.hpp"
 #include "util/error.hpp"
 
 namespace ss = softfet::service;
-using softfet::BudgetExceededError;
-using softfet::ConvergenceError;
 using softfet::Error;
 using softfet::ParseError;
 
@@ -158,58 +154,6 @@ TEST(Protocol, RealFrontendErrorMapsIntoRequestLine) {
     // offending netlist line's first character (the '.' of ".tran").
     EXPECT_EQ(raw.substr(*pos.request_column - 1, 5), ".tran");
   }
-}
-
-TEST(Retry, ClassifiesFailures) {
-  EXPECT_EQ(ss::classify_failure(ConvergenceError("newton diverged")),
-            ss::FailureClass::kTransient);
-  EXPECT_EQ(ss::classify_failure(BudgetExceededError(
-                "wall clock", softfet::util::BudgetStop::kWallClock)),
-            ss::FailureClass::kTerminal);
-  EXPECT_EQ(ss::classify_failure(BudgetExceededError(
-                "cancelled", softfet::util::BudgetStop::kCancel)),
-            ss::FailureClass::kCancelled);
-  EXPECT_EQ(ss::classify_failure(ParseError("bad", 1)),
-            ss::FailureClass::kTerminal);
-  EXPECT_EQ(ss::classify_failure(std::runtime_error("bug")),
-            ss::FailureClass::kTerminal);
-}
-
-TEST(Retry, BackoffBoundsAndDeterminism) {
-  ss::RetryPolicy policy;
-  policy.base_backoff_ms = 100;
-  policy.backoff_multiplier = 4.0;
-  policy.max_backoff_ms = 1000;
-  policy.jitter = 0.5;
-
-  EXPECT_EQ(ss::backoff_ms(policy, 1, 7), 0u);  // no sleep before attempt 1
-  for (int attempt = 2; attempt <= 5; ++attempt) {
-    const double base =
-        std::min(100.0 * std::pow(4.0, attempt - 2), 1000.0);
-    for (std::uint64_t seed : {1ull, 99ull, 123456789ull}) {
-      const unsigned ms = ss::backoff_ms(policy, attempt, seed);
-      EXPECT_GE(ms, static_cast<unsigned>(base * 0.5) - 1) << attempt;
-      EXPECT_LE(ms, static_cast<unsigned>(base) + 1) << attempt;
-      // Deterministic per (seed, attempt).
-      EXPECT_EQ(ms, ss::backoff_ms(policy, attempt, seed));
-    }
-  }
-  // Distinct seeds decorrelate (not all equal across a few draws).
-  const unsigned a = ss::backoff_ms(policy, 3, 1);
-  const unsigned b = ss::backoff_ms(policy, 3, 2);
-  const unsigned c = ss::backoff_ms(policy, 3, 3);
-  EXPECT_TRUE(a != b || b != c);
-
-  policy.jitter = 0.0;  // fully deterministic: exact exponential
-  EXPECT_EQ(ss::backoff_ms(policy, 2, 42), 100u);
-  EXPECT_EQ(ss::backoff_ms(policy, 3, 42), 400u);
-  EXPECT_EQ(ss::backoff_ms(policy, 4, 42), 1000u);  // capped
-}
-
-TEST(Retry, Fnv1a64MatchesReference) {
-  EXPECT_EQ(ss::fnv1a64(""), 0xCBF29CE484222325ull);
-  EXPECT_EQ(ss::fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
-  EXPECT_NE(ss::fnv1a64("netlist-a"), ss::fnv1a64("netlist-b"));
 }
 
 // ---------------------------------------------------------------------------

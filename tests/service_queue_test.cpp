@@ -68,9 +68,6 @@ class Collector {
   ss::ServerConfig config;
   config.workers = 2;
   config.queue_capacity = 8;
-  config.retry.max_attempts = 2;
-  config.retry.base_backoff_ms = 1;
-  config.retry.max_backoff_ms = 2;
   return config;
 }
 
@@ -159,6 +156,12 @@ TEST(NetlistCache, ParseFailuresAreNotCached) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+TEST(NetlistCache, Fnv1a64MatchesReference) {
+  EXPECT_EQ(ss::fnv1a64(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(ss::fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_NE(ss::fnv1a64("netlist-a"), ss::fnv1a64("netlist-b"));
+}
+
 TEST(Server, JobLifecycleAndControlRequests) {
   Collector out;
   const auto owned = std::make_unique<ss::Server>(test_config());
@@ -242,7 +245,7 @@ TEST(Server, TransientFailuresRetryThenSucceed) {
 TEST(Server, ExhaustedRetriesBecomeStructuredErrors) {
   Collector out;
   const auto owned = std::make_unique<ss::Server>(test_config());
-  ss::Server& server = *owned;  // max_attempts = 2
+  ss::Server& server = *owned;
   server.register_handler("doomed", [](const ss::Request&, ss::JobContext&) {
     softfet::SolverDiagnostics d;
     d.analysis = "transient";

@@ -229,8 +229,6 @@ void register_fault_handlers(ss::Server& server) {
   config.heartbeat_interval_seconds = 0.05;
   config.heartbeat_timeout_seconds = 1.0;
   config.hang_grace_seconds = 0.4;
-  config.retry.base_backoff_ms = 1;
-  config.retry.max_backoff_ms = 2;
   return config;
 }
 
@@ -316,9 +314,6 @@ TEST(ServiceSoak, ThousandsOfFaultInjectedJobsKeepTheContract) {
   config.workers = 4;
   config.queue_capacity = 256;
   config.max_netlist_bytes = 1024;  // small cap so oversized lines are cheap
-  config.retry.max_attempts = 3;
-  config.retry.base_backoff_ms = 1;
-  config.retry.max_backoff_ms = 2;
   const auto owned = std::make_unique<ss::Server>(config);
   ss::Server& server = *owned;
   register_fault_handlers(server);
@@ -703,7 +698,42 @@ void check_mc_resume(ss::ServerConfig config, const std::string& tag) {
   fs::remove_all(state_dir);
 }
 
+/// A job that never converges reruns exactly once, at once: one `retrying`
+/// (attempt 2, the first failure's message, no backoff field), then the
+/// rerun's `error`.
+void check_single_rerun(const ss::ServerConfig& config) {
+  const auto owned = std::make_unique<ss::Server>(config);
+  ss::Server& server = *owned;
+  register_fault_handlers(server);
+
+  Transcript out;
+  server.handle_line(R"({"id":"f1","type":"fatal"})", out.sink());
+  server.wait_idle();
+
+  const auto events = out.events("f1");
+  ASSERT_EQ(check_lifecycle("f1", events), "error");
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[1].string_or("event", ""), "started");
+  const ss::JsonValue& retrying = events[2];
+  EXPECT_EQ(retrying.string_or("event", ""), "retrying");
+  EXPECT_EQ(retrying.number_or("attempt", -1), 2.0);
+  EXPECT_EQ(retrying.string_or("message", ""),
+            "injected permanent divergence");
+  EXPECT_EQ(retrying.get("backoff_ms"), nullptr);
+  EXPECT_EQ(events[3].string_or("code", ""), ss::kErrorConvergence);
+
+  const ss::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
 }  // namespace
+
+TEST(ServiceSoak, ConvergenceFailureRerunsOnceAtOnce) {
+  ss::ServerConfig config;
+  config.workers = 1;
+  check_single_rerun(config);
+}
 
 TEST(ServiceSoak, NetlistResultsAreBitwiseEqualToDirectCalls) {
   ss::ServerConfig config;
@@ -744,7 +774,6 @@ TEST(ServiceHardFault, MixedHardFaultWorkloadIsContained) {
   ss::ServerConfig config = process_config(3);
   config.queue_capacity = 256;
   config.worker_memory_bytes = worker_memory_cap();
-  config.retry.max_attempts = 3;
   const auto owned = std::make_unique<ss::Server>(config);
   ss::Server& server = *owned;
   register_fault_handlers(server);
@@ -1015,4 +1044,8 @@ TEST(ServiceHardFault, AmdLadderMatchesTheDirectRunUnderProcessIsolation) {
 
 TEST(ServiceHardFault, KilledDaemonResumesBitwiseUnderProcessIsolation) {
   check_mc_resume(process_config(1), "process");
+}
+
+TEST(ServiceHardFault, ConvergenceFailureRerunsOnceUnderProcessIsolation) {
+  check_single_rerun(process_config(1));
 }

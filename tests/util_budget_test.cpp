@@ -111,4 +111,5 @@ TEST(BudgetStop, ToStringCoversEveryValue) {
   EXPECT_NE(std::string(su::to_string(su::BudgetStop::kWallClock)), "");
   EXPECT_NE(std::string(su::to_string(su::BudgetStop::kAcceptedSteps)), "");
   EXPECT_NE(std::string(su::to_string(su::BudgetStop::kNewtonIterations)), "");
+  EXPECT_NE(std::string(su::to_string(su::BudgetStop::kOutputBytes)), "");
 }
