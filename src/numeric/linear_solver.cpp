@@ -40,7 +40,11 @@ std::vector<double> LinearSolver::solve(const SparseMatrix& a,
     ++krylov_fallbacks_;
   }
 
-  sparse_.factor(a);
+  if (sparse_.holds(a)) {
+    ++value_reuses_;
+  } else {
+    sparse_.factor(a);
+  }
   ++direct_solves_;
   return sparse_.solve(b);
 }
@@ -48,7 +52,8 @@ std::vector<double> LinearSolver::solve(const SparseMatrix& a,
 LinearSolverStats LinearSolver::stats() const noexcept {
   LinearSolverStats stats;
   stats.symbolic_analyses = sparse_.analyze_count();
-  stats.refactorizations = sparse_.refactor_count();
+  stats.refactorizations = sparse_.refactor_count() + value_reuses_;
+  stats.value_reuses = value_reuses_;
   stats.fill_ratio = sparse_.fill_ratio();
   stats.reordered = sparse_.reordered();
   stats.direct_solves = direct_solves_;

@@ -9,6 +9,14 @@
 // LinearSolver should live per analysis (per circuit); sharing across
 // unrelated patterns is safe but forfeits the caching.
 //
+// Value reuse (sparse path): when a matrix repeats, bit for bit, the one the
+// cached factors were last refactored from (SparseLu::holds), the factor
+// call is skipped and the cached factors answer. Refactoring identical
+// input would rebuild identical factors, so results do not move; a linear
+// circuit stepping at a constant dt repeats its Jacobian on every step. The
+// dense path (kDenseThreshold unknowns or fewer) always factors: its
+// nonlinear Jacobians change on every iteration.
+//
 // Policies:
 //  - kDirect     factor + solve every call (the default; bitwise identical
 //                to the historical behavior for small circuits).
@@ -48,7 +56,10 @@ struct LinearSolverConfig {
 /// Counters describing the linear-solve work of one analysis run.
 struct LinearSolverStats {
   std::size_t symbolic_analyses = 0;  ///< full symbolic+numeric analyses
-  std::size_t refactorizations = 0;   ///< numeric-only refactor passes
+  /// Numeric-only factor calls, value reuses included, so the count does
+  /// not depend on whether a repeated matrix was refactored or reused.
+  std::size_t refactorizations = 0;
+  std::size_t value_reuses = 0;       ///< of those, bitwise repeats skipped
   double fill_ratio = 0.0;            ///< nnz(L+U)/nnz(A) of last analysis
   bool reordered = false;             ///< last analysis used AMD
   std::size_t direct_solves = 0;      ///< solves answered by LU alone
@@ -77,9 +88,10 @@ class LinearSolver {
 
   explicit LinearSolver(const LinearSolverConfig& config) : config_(config) {}
 
-  /// Factor `a` (reusing cached structure when the pattern is unchanged)
-  /// and solve a·x = b. Under an iterative policy the factorization may be
-  /// a stale preconditioner and the answer comes from BiCGSTAB.
+  /// Factor `a` (reusing cached structure when the pattern is unchanged,
+  /// and the cached factors when the values are too) and solve a·x = b.
+  /// Under an iterative policy the factorization may be a stale
+  /// preconditioner and the answer comes from BiCGSTAB.
   [[nodiscard]] std::vector<double> solve(const SparseMatrix& a,
                                           const std::vector<double>& b);
 
@@ -92,6 +104,7 @@ class LinearSolver {
   DenseMatrix dense_;
   DenseLu dense_lu_;
   std::size_t direct_solves_ = 0;
+  std::size_t value_reuses_ = 0;
   std::size_t krylov_solves_ = 0;
   std::size_t krylov_iterations_ = 0;
   std::size_t krylov_fallbacks_ = 0;

@@ -8,12 +8,22 @@
 // input pattern changes, the factorization transparently falls back to a
 // fresh symbolic analysis, so callers can treat factor() as always-correct.
 //
+// analyze() is a right-looking elimination with partial pivoting over map
+// rows. Rows stay where they were built; a slot table records which row
+// holds each pivot position, and per-column occupancy lists name the rows
+// with an entry in each column, so step k visits only the rows of column k.
+//
 // Ahead of the symbolic phase systems of kAutoOrderingThreshold or more
 // unknowns, where banded fill starts to dominate, are reordered by a
 // fill-reducing (AMD) permutation; smaller ones keep the natural order. The
 // permutation is cached with the symbolic structure, so the numeric-only
 // refactorization path is identical in shape whether or not the matrix was
 // reordered.
+//
+// After a numeric refactorization the object remembers the values it
+// factored, and holds(a) tells a caller (LinearSolver) whether `a` is that
+// matrix bit for bit, so the factors can be reused without calling factor().
+// factor() itself always does the work it is asked for.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +51,13 @@ class SparseLu {
   /// partial pivoting; otherwise the cached structure and pivot order are
   /// reused and only the numeric elimination runs.
   void factor(const SparseMatrix& a);
+
+  /// True when the cached factors came from a numeric refactorization of a
+  /// matrix with `a`'s pattern and, bit for bit, `a`'s values: refactoring
+  /// `a` again would reproduce them exactly. False after an analysis (a
+  /// refactor of the same values could still trip the pivot-degradation
+  /// check) and after a factor() that threw.
+  [[nodiscard]] bool holds(const SparseMatrix& a) const;
 
   /// True when a factorization is cached and solve() is callable.
   [[nodiscard]] bool valid() const noexcept { return n_ != 0; }
@@ -102,6 +119,10 @@ class SparseLu {
   std::vector<std::size_t> a_cols_;
   std::vector<std::size_t> a_scatter_;
   std::size_t a_nnz_ = 0;
+  // A's values in a_cols_ order as the last refactorization read them; they
+  // describe the cached factors only while holds_ is set.
+  std::vector<double> a_vals_;
+  bool holds_ = false;
 
   std::vector<double> work_;  ///< dense accumulator, zero between rows
 

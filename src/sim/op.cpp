@@ -15,6 +15,7 @@ void fill_solver_stats(SolverDiagnostics& diag,
   const numeric::LinearSolverStats stats = solver.stats();
   diag.symbolic_analyses = stats.symbolic_analyses;
   diag.refactorizations = stats.refactorizations;
+  diag.value_reuses = stats.value_reuses;
   diag.fill_ratio = stats.fill_ratio;
   diag.reordered = stats.reordered;
   diag.krylov_solves = stats.krylov_solves;

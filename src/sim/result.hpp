@@ -11,7 +11,9 @@
 namespace softfet::sim {
 
 /// Column-oriented table of named signals sampled over a common axis
-/// (time for transients, the swept value for DC sweeps).
+/// (time for transients, the swept value for DC sweeps). Names match
+/// case-insensitively through an index built once with the table; where two
+/// columns share a name, lookups by name return the first.
 class SignalTable {
  public:
   SignalTable() = default;
@@ -45,8 +47,13 @@ class SignalTable {
   [[nodiscard]] std::size_t columns() const noexcept { return names_.size(); }
 
  private:
+  /// Index of the first column named `name`, or columns() when none is.
+  [[nodiscard]] std::size_t find(const std::string& name) const;
+
   std::vector<std::string> names_;
   std::vector<std::vector<double>> columns_;
+  /// Column indices sorted by case-insensitive name, ties by index.
+  std::vector<std::size_t> by_name_;
 };
 
 /// DC operating point.

@@ -65,6 +65,7 @@ struct SolverDiagnostics {
   // the numeric layer.
   std::size_t symbolic_analyses = 0;   ///< full symbolic factorizations
   std::size_t refactorizations = 0;    ///< cached numeric-only refactors
+  std::size_t value_reuses = 0;        ///< of those, bitwise repeats skipped
   double fill_ratio = 0.0;             ///< nnz(L+U)/nnz(A), last analysis
   bool reordered = false;              ///< AMD ordering was applied
   std::size_t krylov_solves = 0;       ///< solves answered iteratively

@@ -1,11 +1,16 @@
 // AMD fill-reducing ordering: permutation validity, fill prediction, the
 // fill win on mesh patterns, and solve correctness under reordering — which
 // SparseLu applies from kAutoOrderingThreshold unknowns on and never below.
+// Plus the pivot-order oracle: SparseLu's analysis against the row-scan
+// elimination it replaced, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "numeric/ordering.hpp"
@@ -290,5 +295,252 @@ TEST(SparseLuOrdering, SingularMatrixReportsOriginalColumn) {
     FAIL() << "expected a singular-matrix error";
   } catch (const softfet::SingularMatrixError& e) {
     EXPECT_EQ(e.column(), 3u);
+  }
+}
+
+// Pivot-order oracle. SparseLu::analyze finds each step's pivot and update
+// rows through per-column occupancy lists; RowScanLu is the elimination it
+// replaced, which scans every row below the pivot. Same pivots (ties to the
+// lowest slot), same fill, same operation order per entry: the solves must
+// agree to the bit.
+
+namespace {
+
+class RowScanLu {
+ public:
+  explicit RowScanLu(const sn::SparseMatrix& a) {
+    const std::size_t n = a.size();
+    const bool reorder = n >= sn::SparseLu::kAutoOrderingThreshold;
+    std::vector<std::size_t> qinv;
+    if (reorder) {
+      q_ = sn::amd_order(a);
+      qinv.resize(n);
+      for (std::size_t j = 0; j < n; ++j) qinv[q_[j]] = j;
+    }
+    rows_.resize(n);
+    perm_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reorder) {
+        for (const auto& [col, value] : a.row(q_[i])) {
+          rows_[i].emplace(qinv[col], value);
+        }
+      } else {
+        for (const auto& [col, value] : a.row(i)) {
+          rows_[i].emplace_hint(rows_[i].end(), col, value);
+        }
+      }
+      perm_[i] = i;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t pivot_row = n;
+      double pivot_mag = 0.0;
+      for (std::size_t i = k; i < n; ++i) {
+        const auto it = rows_[i].find(k);
+        if (it == rows_[i].end()) continue;
+        const double mag = std::fabs(it->second);
+        if (mag > pivot_mag) {
+          pivot_mag = mag;
+          pivot_row = i;
+        }
+      }
+      if (pivot_row == n || !(pivot_mag > 0.0) || !std::isfinite(pivot_mag)) {
+        const std::size_t original = reorder ? q_[k] : k;
+        throw softfet::SingularMatrixError(
+            "SparseLu: singular matrix at column " + std::to_string(original),
+            original);
+      }
+      if (pivot_row != k) {
+        std::swap(rows_[k], rows_[pivot_row]);
+        std::swap(perm_[k], perm_[pivot_row]);
+      }
+      const auto& pivot_entries = rows_[k];
+      const double pivot = pivot_entries.at(k);
+      for (std::size_t i = k + 1; i < n; ++i) {
+        auto& row = rows_[i];
+        const auto it = row.find(k);
+        if (it == row.end()) continue;
+        const double f = it->second / pivot;
+        it->second = f;
+        for (auto pit = pivot_entries.upper_bound(k);
+             pit != pivot_entries.end(); ++pit) {
+          row[pit->first] -= f * pit->second;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t fill_nonzeros() const {
+    std::size_t nnz = 0;
+    for (const auto& row : rows_) nnz += row.size();
+    return nnz;
+  }
+
+  /// SparseLu::solve's arithmetic, entry for entry.
+  [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const {
+    const std::size_t n = rows_.size();
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = b[q_.empty() ? perm_[i] : q_[perm_[i]]];
+      for (const auto& [col, value] : rows_[i]) {
+        if (col >= i) break;
+        acc -= value * y[col];
+      }
+      y[i] = acc;
+    }
+    std::vector<double> x(n);
+    for (std::size_t ii = n; ii-- > 0;) {
+      double acc = y[ii];
+      for (auto it = rows_[ii].upper_bound(ii); it != rows_[ii].end(); ++it) {
+        acc -= it->second * x[it->first];
+      }
+      x[ii] = acc / rows_[ii].at(ii);
+    }
+    if (q_.empty()) return x;
+    std::vector<double> out(n);
+    for (std::size_t j = 0; j < n; ++j) out[q_[j]] = x[j];
+    return out;
+  }
+
+ private:
+  std::vector<std::size_t> q_;
+  std::vector<std::map<std::size_t, double>> rows_;
+  std::vector<std::size_t> perm_;
+};
+
+/// Both eliminations of `a`: the same singular column, or the same fill and
+/// bitwise the same solve.
+void expect_oracle_match(const sn::SparseMatrix& a, const std::string& what) {
+  std::vector<double> b(a.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = std::cos(0.7 * static_cast<double>(i)) + 0.1;
+  }
+  std::size_t oracle_column = a.size();
+  std::vector<double> expected;
+  std::size_t expected_fill = 0;
+  try {
+    const RowScanLu oracle(a);
+    expected = oracle.solve(b);
+    expected_fill = oracle.fill_nonzeros();
+  } catch (const softfet::SingularMatrixError& e) {
+    oracle_column = e.column();
+  }
+  sn::SparseLu lu;
+  try {
+    lu.factor(a);
+  } catch (const softfet::SingularMatrixError& e) {
+    EXPECT_EQ(e.column(), oracle_column) << what;
+    return;
+  }
+  ASSERT_EQ(oracle_column, a.size()) << what << ": only the oracle threw";
+  EXPECT_EQ(lu.fill_nonzeros(), expected_fill) << what;
+  const auto x = lu.solve(b);
+  ASSERT_EQ(x.size(), expected.size());
+  EXPECT_EQ(std::memcmp(x.data(), expected.data(), x.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+/// Random pattern whose values are drawn from {+-1, +-2}: most columns
+/// offer several pivot candidates of equal magnitude. `diagonal` adds the
+/// diagonal to the pattern (with a drawn value, so it may tie as well).
+sn::SparseMatrix tie_system(std::size_t n, std::mt19937& rng, bool diagonal) {
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  std::uniform_int_distribution<int> value(0, 3);
+  const double values[4] = {1.0, -1.0, 2.0, -2.0};
+  sn::SparseMatrix a(n);
+  for (std::size_t k = 0; k < 3 * n; ++k) {
+    const std::size_t r = pick(rng);
+    const std::size_t c = pick(rng);
+    if (r != c) a.set(r, c, values[value(rng)]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    // Every row and column gets a candidate so most draws are nonsingular.
+    a.set(i, (i + 1) % n, values[value(rng)]);
+    if (diagonal) a.set(i, i, values[value(rng)]);
+  }
+  return a;
+}
+
+}  // namespace
+
+TEST(PivotOracle, MeshJacobiansMatchRowScan) {
+  for (const std::size_t side : {16u, 32u, 64u}) {  // 512 to 8192 unknowns
+    const auto a = grid_system(side);
+    expect_oracle_match(a, "mesh " + std::to_string(side));
+  }
+}
+
+TEST(PivotOracle, TieHeavyMeshMatchesRowScan) {
+  // The mesh pattern under the AMD path with tie-heavy values: pivoting
+  // leaves the diagonal and equal candidates compete.
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> value(0, 3);
+  const double values[4] = {1.0, -1.0, 2.0, -2.0};
+  for (int trial = 0; trial < 4; ++trial) {
+    auto a = grid_system(12);  // 288 unknowns
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      for (const auto& e : a.row(r)) a.set(r, e.col, values[value(rng)]);
+    }
+    expect_oracle_match(a, "tie mesh " + std::to_string(trial));
+  }
+}
+
+TEST(PivotOracle, TieHeavyNaturalOrderMatchesRowScan) {
+  std::mt19937 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 3 + static_cast<std::size_t>(trial) % 38;
+    const auto a = tie_system(n, rng, trial % 3 != 0);
+    expect_oracle_match(a, "tie " + std::to_string(trial));
+  }
+}
+
+TEST(PivotOracle, ZeroDiagonalMatchesRowScan) {
+  // MNA-shaped: conductance block plus voltage-source rows and columns
+  // whose diagonal is structurally absent, natural order and AMD.
+  for (const std::size_t nodes : {12u, 150u}) {
+    const std::size_t sources = nodes / 4;
+    sn::SparseMatrix a(nodes + sources);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      a.add(i, i, 2.0);
+      if (i + 1 < nodes) {
+        a.add(i, i + 1, -1.0);
+        a.add(i + 1, i, -1.0);
+      }
+    }
+    for (std::size_t s = 0; s < sources; ++s) {
+      const std::size_t node = 4 * s + 1;
+      a.add(node, nodes + s, 1.0);
+      a.add(nodes + s, node, 1.0);
+    }
+    expect_oracle_match(a, "mna " + std::to_string(nodes));
+  }
+  std::mt19937 rng(23);
+  for (int trial = 0; trial < 50; ++trial) {
+    expect_oracle_match(tie_system(20, rng, false),
+                        "no diagonal " + std::to_string(trial));
+  }
+}
+
+TEST(PivotOracle, PivotDegradationReanalysisMatchesRowScan) {
+  // Zero the first pivot of a factored system: the refactor degrades, the
+  // object re-analyzes, and that analysis must be the oracle's.
+  for (const std::size_t side : {4u, 10u}) {  // natural order, then AMD
+    auto a = grid_system(side);
+    sn::SparseLu lu;
+    lu.factor(a);
+    const std::size_t first =
+        lu.reordered() ? sn::amd_order(a).front() : std::size_t{0};
+    a.set(first, first, 0.0);
+    lu.factor(a);
+    EXPECT_EQ(lu.analyze_count(), 2u) << side;
+    EXPECT_EQ(lu.refactor_count(), 0u) << side;
+    const RowScanLu oracle(a);
+    EXPECT_EQ(lu.fill_nonzeros(), oracle.fill_nonzeros()) << side;
+    const std::vector<double> b(a.size(), 1.0);
+    const auto x = lu.solve(b);
+    const auto expected = oracle.solve(b);
+    EXPECT_EQ(
+        std::memcmp(x.data(), expected.data(), x.size() * sizeof(double)), 0)
+        << side;
   }
 }

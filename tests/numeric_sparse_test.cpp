@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "numeric/dense_lu.hpp"
@@ -309,4 +310,198 @@ TEST(LinearSolver, ForcedSparseMatchesForcedDense) {
   const auto xs = sn::LinearSolver(sn::SolverKind::kSparse).solve(a, b);
   const auto xd = sn::LinearSolver(sn::SolverKind::kDense).solve(a, b);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-12);
+}
+
+
+// Value reuse: LinearSolver skips factor() when the matrix repeats, bit for
+// bit, the one the cached factors were last refactored from.
+
+namespace {
+
+/// 2-D Laplacian-like mesh of side x side unknowns with a dominant diagonal;
+/// from side 12 on it takes the AMD path.
+sn::SparseMatrix mesh_system(std::size_t side) {
+  const std::size_t n = side * side;
+  sn::SparseMatrix a(n);
+  for (std::size_t r = 0; r < side; ++r) {
+    for (std::size_t c = 0; c < side; ++c) {
+      const std::size_t i = r * side + c;
+      a.add(i, i, 4.5);
+      if (c + 1 < side) {
+        a.add(i, i + 1, -1.0);
+        a.add(i + 1, i, -1.0);
+      }
+      if (r + 1 < side) {
+        a.add(i, i + side, -1.0);
+        a.add(i + side, i, -1.0);
+      }
+    }
+  }
+  return a;
+}
+
+std::vector<double> ramp(std::size_t n) {
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+  }
+  return b;
+}
+
+bool bitwise_equal(const std::vector<double>& x,
+                   const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+/// Zero every value of column `col`, keeping the pattern: singular.
+void zero_column(sn::SparseMatrix& a, std::size_t col) {
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (const auto& e : a.row(r)) {
+      if (e.col == col) a.set(r, col, 0.0);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ValueReuse, SparseLuHoldsOnlyTheLastRefactoredBits) {
+  auto a = mesh_system(4);
+  sn::SparseLu lu(a);
+  EXPECT_FALSE(lu.holds(a));  // fresh from an analysis, not a refactor
+  lu.factor(a);
+  EXPECT_TRUE(lu.holds(a));
+  a.set(5, 5, std::nextafter(4.5, 5.0));  // one ulp
+  EXPECT_FALSE(lu.holds(a));
+  lu.factor(a);
+  EXPECT_TRUE(lu.holds(a));
+  EXPECT_FALSE(sn::SparseLu().holds(a));
+  EXPECT_FALSE(lu.holds(mesh_system(5)));  // another size
+}
+
+TEST(ValueReuse, CountsReusesAsRefactorizations) {
+  const auto a = mesh_system(6);
+  const auto b = ramp(a.size());
+  sn::LinearSolver solver;
+  for (int call = 0; call < 5; ++call) (void)solver.solve(a, b);
+  // analyze, refactor, then three reuses of that refactor.
+  const sn::LinearSolverStats stats = solver.stats();
+  EXPECT_EQ(stats.symbolic_analyses, 1u);
+  EXPECT_EQ(stats.refactorizations, 4u);
+  EXPECT_EQ(stats.value_reuses, 3u);
+  EXPECT_EQ(stats.direct_solves, 5u);
+}
+
+TEST(ValueReuse, ReusedSolveIsBitwiseAFreshFactorization) {
+  for (const std::size_t side : {6u, 12u}) {  // natural order, then AMD
+    auto a = mesh_system(side);
+    const auto b = ramp(a.size());
+    sn::LinearSolver solver;
+    (void)solver.solve(a, b);
+    a.set(0, 0, 5.0);
+    (void)solver.solve(a, b);  // a refactor
+    const auto reused = solver.solve(a, b);
+    EXPECT_EQ(solver.stats().value_reuses, 1u) << side;
+    EXPECT_TRUE(bitwise_equal(reused, sn::SparseLu(a).solve(b))) << side;
+  }
+}
+
+TEST(ValueReuse, SignedZeroFlipForcesARealFactor) {
+  auto a = mesh_system(5);
+  a.add(0, 3, 0.0);  // a structural +0.0
+  const auto b = ramp(a.size());
+  sn::LinearSolver solver;
+  (void)solver.solve(a, b);
+  (void)solver.solve(a, b);
+  (void)solver.solve(a, b);
+  ASSERT_EQ(solver.stats().value_reuses, 1u);
+  a.set(0, 3, -0.0);  // == +0.0, different bits
+  const auto x = solver.solve(a, b);
+  EXPECT_EQ(solver.stats().value_reuses, 1u);
+  EXPECT_EQ(solver.stats().refactorizations, 3u);
+  EXPECT_TRUE(bitwise_equal(x, sn::SparseLu(a).solve(b)));
+}
+
+TEST(ValueReuse, PatternChangeStillReanalyzes) {
+  auto a = mesh_system(5);
+  const auto b = ramp(a.size());
+  sn::LinearSolver solver;
+  (void)solver.solve(a, b);
+  (void)solver.solve(a, b);
+  a.add(0, 24, 0.0);  // new structural entry, every value unchanged
+  const auto x = solver.solve(a, b);
+  const sn::LinearSolverStats stats = solver.stats();
+  EXPECT_EQ(stats.symbolic_analyses, 2u);
+  EXPECT_EQ(stats.value_reuses, 0u);
+  EXPECT_TRUE(bitwise_equal(x, sn::SparseLu(a).solve(b)));
+}
+
+/// 20-unknown tridiagonal system plus an entry at (19, 17); `singular`
+/// copies row 18's values into row 19, so only the last pivot vanishes
+/// (the refactor has rebuilt every other row by the time it fails).
+sn::SparseMatrix twin_row_system(bool singular) {
+  const std::size_t n = 20;
+  sn::SparseMatrix a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a.add(i, i, 4.0);
+    if (i + 1 < n) {
+      a.add(i, i + 1, -1.0);
+      a.add(i + 1, i, -1.0);
+    }
+  }
+  a.add(19, 17, 0.5);
+  if (singular) {
+    a.set(19, 17, -1.0);
+    a.set(19, 18, 4.0);
+    a.set(19, 19, -1.0);
+  }
+  return a;
+}
+
+TEST(ValueReuse, SingularMatrixThrowsEveryTimeAndGoodOneSolvesAfter) {
+  auto zeroed = mesh_system(5);
+  zero_column(zeroed, 7);
+  const std::pair<sn::SparseMatrix, sn::SparseMatrix> cases[] = {
+      {mesh_system(5), zeroed},
+      {twin_row_system(false), twin_row_system(true)}};
+  for (const auto& [good, singular] : cases) {
+    const auto b = ramp(good.size());
+    sn::LinearSolver solver;
+    (void)solver.solve(good, b);
+    (void)solver.solve(good, b);
+    (void)solver.solve(good, b);
+    EXPECT_THROW((void)solver.solve(singular, b),
+                 softfet::SingularMatrixError);
+    EXPECT_THROW((void)solver.solve(singular, b),
+                 softfet::SingularMatrixError);
+    const auto x = solver.solve(good, b);
+    EXPECT_TRUE(bitwise_equal(x, sn::SparseLu(good).solve(b)));
+    const auto again = solver.solve(good, b);
+    EXPECT_TRUE(bitwise_equal(again, x));
+    EXPECT_EQ(solver.stats().value_reuses, 2u);
+  }
+}
+
+TEST(ValueReuse, AmdSolveAfterASingularPatternChange) {
+  // A singular matrix of another pattern throws mid-analysis; the cached
+  // factorization of `a`, permutation included, must still answer for `a`.
+  const auto a = mesh_system(12);
+  const auto b = ramp(a.size());
+  auto other = a;
+  other.add(0, 143, 1.0);
+  zero_column(other, 50);
+  sn::LinearSolver solver;
+  (void)solver.solve(a, b);
+  EXPECT_THROW((void)solver.solve(other, b), softfet::SingularMatrixError);
+  const auto x = solver.solve(a, b);
+  EXPECT_TRUE(bitwise_equal(x, sn::SparseLu(a).solve(b)));
+}
+
+TEST(ValueReuse, DensePathAlwaysFactors) {
+  const auto a = mesh_system(3);  // 9 unknowns: dense
+  const auto b = ramp(a.size());
+  sn::LinearSolver solver;
+  for (int call = 0; call < 3; ++call) (void)solver.solve(a, b);
+  EXPECT_EQ(solver.stats().value_reuses, 0u);
+  EXPECT_EQ(solver.stats().direct_solves, 3u);
 }
