@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <functional>
 
 #include "numeric/ordering.hpp"
 #include "util/error.hpp"
@@ -44,10 +44,9 @@ void SparseLu::analyze(const SparseMatrix& a) {
   ++analyze_count_;
   const std::size_t n = a.size();
 
-  // Fill-reducing pre-permutation. The natural path leaves q empty so it
-  // stays bit-for-bit (and allocation-for-allocation) the pre-ordering
-  // code; the AMD path renumbers both rows and columns symmetrically, and
-  // partial pivoting below still permutes rows freely on top of it. q_ is
+  // Fill-reducing pre-permutation. The natural path leaves q empty; the
+  // AMD path renumbers both rows and columns symmetrically, and partial
+  // pivoting below still permutes rows freely on top of it. q_ is
   // only replaced once the elimination succeeds: a singular matrix must not
   // pair a new permutation with the previous pivot order and pattern, which
   // the next factor() still refactors over.
@@ -60,41 +59,98 @@ void SparseLu::analyze(const SparseMatrix& a) {
     for (std::size_t j = 0; j < n; ++j) qinv[q[j]] = j;
   }
 
-  // Right-looking elimination with partial pivoting over map rows. This is
-  // the one-time symbolic+numeric pass; fill positions are inserted even
-  // when a factor happens to be numerically zero so the recorded pattern is
-  // purely structural and stays valid for any later values. Row `id` (row
-  // id of the permuted A) never moves: id_of[slot] is the row at pivot
-  // position `slot` and slot_of its inverse. col_rows[c] lists the ids whose
-  // row holds column c, in insertion order; fill appends to it.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  std::vector<std::vector<std::size_t>> col_rows(n);
+  // The permuted A by column: column j lists (id, value) for each row id
+  // of the permuted A with an entry in it. Ids are rows as numbered before
+  // pivoting; they never move.
+  const auto permuted = [&](std::size_t i) { return reorder ? qinv[i] : i; };
+  std::vector<std::size_t> a_col_ptr(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const auto& e : a.row(r)) ++a_col_ptr[permuted(e.col) + 1];
+  }
+  for (std::size_t j = 0; j < n; ++j) a_col_ptr[j + 1] += a_col_ptr[j];
+  std::vector<std::size_t> a_ids(a_col_ptr[n]);
+  std::vector<double> a_col_vals(a_col_ptr[n]);
+  {
+    std::vector<std::size_t> next(a_col_ptr.begin(), a_col_ptr.end() - 1);
+    for (std::size_t id = 0; id < n; ++id) {
+      for (const auto& [col, value] : a.row(reorder ? q[id] : id)) {
+        const std::size_t at = next[permuted(col)]++;
+        a_ids[at] = id;
+        a_col_vals[at] = value;
+      }
+    }
+  }
+
+  // Left-looking elimination with partial pivoting, one column at a time
+  // (Gilbert & Peierls 1988). This is the one-time symbolic+numeric pass;
+  // every structural entry is kept even when its value is zero, so the
+  // recorded pattern stays valid for any later values. Row ids never move:
+  // id_of[slot] is the id at pivot position `slot` and slot_of its inverse,
+  // and pivoting column j swaps the ids at slot j and at the pivot's slot,
+  // as a right-looking elimination swaps rows. Column j scatters A's column
+  // into x, then applies every pivoted step k it reaches in ascending k (a
+  // min-heap; a step reached through L(:,k) is always later than k):
+  // x_id -= l_id,k * u_kj for each id of L(:,k), fill included. Each entry
+  // thus takes a right-looking elimination's subtractions in its order, so
+  // the pivots, fill and factors are bitwise that elimination's. The
+  // factors are kept by column as (id, value): column j holds U(:,j) in
+  // [col_ptr[j], l_ptr[j]) and L(:,j) in [l_ptr[j], col_ptr[j+1]). Ids, not
+  // slots: an L row's slot is final only at the end.
+  std::vector<std::size_t> col_ptr(1, 0);
+  std::vector<std::size_t> l_ptr;
+  std::vector<std::size_t> lu_ids;
+  std::vector<double> lu_vals;
   std::vector<std::size_t> id_of(n);
   std::vector<std::size_t> slot_of(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (reorder) {
-      for (const auto& [col, value] : a.row(q[i])) {
-        rows[i].emplace(qinv[col], value);
-      }
-    } else {
-      for (const auto& [col, value] : a.row(i)) {
-        rows[i].emplace_hint(rows[i].end(), col, value);
-      }
-    }
-    for (const auto& entry : rows[i]) col_rows[entry.first].push_back(i);
     id_of[i] = i;
     slot_of[i] = i;
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: among the rows at slots >= k, pick the largest
-    // |a[.][k]|; on equal magnitude the lowest slot wins.
+  std::vector<double> x(n, 0.0);
+  std::vector<std::size_t> mark(n, n);  // mark[id] == j: id in column j
+  std::vector<std::size_t> pattern;     // ids of column j
+  std::vector<std::size_t> steps;       // min-heap of steps to apply
+  const auto later = std::greater<std::size_t>();
+  for (std::size_t j = 0; j < n; ++j) {
+    pattern.clear();
+    steps.clear();
+    for (std::size_t p = a_col_ptr[j]; p < a_col_ptr[j + 1]; ++p) {
+      const std::size_t id = a_ids[p];
+      mark[id] = j;
+      x[id] = a_col_vals[p];
+      pattern.push_back(id);
+      if (slot_of[id] < j) steps.push_back(slot_of[id]);
+    }
+    std::make_heap(steps.begin(), steps.end(), later);
+    while (!steps.empty()) {
+      std::pop_heap(steps.begin(), steps.end(), later);
+      const std::size_t k = steps.back();
+      steps.pop_back();
+      const double u = x[id_of[k]];
+      for (std::size_t p = l_ptr[k]; p < col_ptr[k + 1]; ++p) {
+        const std::size_t id = lu_ids[p];
+        if (mark[id] != j) {  // fill
+          mark[id] = j;
+          x[id] = 0.0;
+          pattern.push_back(id);
+          if (slot_of[id] < j) {
+            steps.push_back(slot_of[id]);
+            std::push_heap(steps.begin(), steps.end(), later);
+          }
+        }
+        x[id] -= lu_vals[p] * u;
+      }
+    }
+
+    // Partial pivoting: among the ids at slots >= j, pick the largest
+    // |x|; on equal magnitude the lowest slot wins.
     std::size_t pivot_id = n;
     std::size_t pivot_slot = n;
     double pivot_mag = 0.0;
-    for (const std::size_t id : col_rows[k]) {
+    for (const std::size_t id : pattern) {
       const std::size_t slot = slot_of[id];
-      if (slot < k) continue;
-      const double mag = std::fabs(rows[id].find(k)->second);
+      if (slot < j) continue;
+      const double mag = std::fabs(x[id]);
       if (mag > pivot_mag || (mag == pivot_mag && slot < pivot_slot)) {
         pivot_mag = mag;
         pivot_id = id;
@@ -102,44 +158,40 @@ void SparseLu::analyze(const SparseMatrix& a) {
       }
     }
     if (pivot_slot == n || !(pivot_mag > 0.0) || !std::isfinite(pivot_mag)) {
-      const std::size_t original = reorder ? q[k] : k;
+      const std::size_t original = reorder ? q[j] : j;
       throw SingularMatrixError("SparseLu: singular matrix at column " +
                                     std::to_string(original),
                                 original);
     }
-    const std::size_t displaced = id_of[k];
+    const std::size_t displaced = id_of[j];
     id_of[pivot_slot] = displaced;
     slot_of[displaced] = pivot_slot;
-    id_of[k] = pivot_id;
-    slot_of[pivot_id] = k;
+    id_of[j] = pivot_id;
+    slot_of[pivot_id] = j;
 
-    // Every row below the pivot with an entry in column k: store its L
-    // entry in place and subtract the scaled pivot row.
-    const auto& pivot_entries = rows[pivot_id];
-    const double pivot = pivot_entries.at(k);
-    const auto first_u = pivot_entries.upper_bound(k);
-    for (const std::size_t id : col_rows[k]) {
-      if (slot_of[id] <= k) continue;
-      auto& row = rows[id];
-      const auto it = row.find(k);
-      const double f = it->second / pivot;
-      it->second = f;
-      // Both rows ascend by column: merge, inserting fill before `at`.
-      auto at = std::next(it);
-      for (auto pit = first_u; pit != pivot_entries.end(); ++pit, ++at) {
-        const std::size_t col = pit->first;
-        while (at != row.end() && at->first < col) ++at;
-        if (at == row.end() || at->first != col) {
-          at = row.emplace_hint(at, col, 0.0);
-          col_rows[col].push_back(id);
-        }
-        at->second -= f * pit->second;
-      }
+    // Pivoted ids give U(:,j), the pivot included; the rest give L(:,j),
+    // divided by the pivot. x is left zero for the next column.
+    for (const std::size_t id : pattern) {
+      if (slot_of[id] > j) continue;
+      lu_ids.push_back(id);
+      lu_vals.push_back(x[id]);
     }
+    l_ptr.push_back(lu_ids.size());
+    const double pivot = x[pivot_id];
+    for (const std::size_t id : pattern) {
+      if (slot_of[id] > j) {
+        lu_ids.push_back(id);
+        lu_vals.push_back(x[id] / pivot);
+      }
+      x[id] = 0.0;
+    }
+    col_ptr.push_back(lu_ids.size());
   }
 
-  // Flatten the factored rows into CSR and record the permuted A pattern so
-  // later factor() calls can scatter + eliminate without any node churn.
+  // Transpose the factors into CSR in one pass; visiting columns in
+  // ascending order leaves every row's columns sorted. Then record the
+  // permuted A pattern so later factor() calls can scatter + eliminate
+  // over flat arrays.
   n_ = n;
   q_ = std::move(q);
   qinv_ = std::move(qinv);
@@ -150,21 +202,22 @@ void SparseLu::analyze(const SparseMatrix& a) {
     perm_[i] = reorder ? q_[id_of[i]] : id_of[i];
   }
 
-  std::size_t nnz = 0;
-  for (const auto& row : rows) nnz += row.size();
   row_ptr_.assign(n + 1, 0);
-  cols_.clear();
-  vals_.clear();
-  cols_.reserve(nnz);
-  vals_.reserve(nnz);
+  for (const std::size_t id : lu_ids) ++row_ptr_[slot_of[id] + 1];
+  for (std::size_t i = 0; i < n; ++i) row_ptr_[i + 1] += row_ptr_[i];
+  cols_.resize(lu_ids.size());
+  vals_.resize(lu_ids.size());
   diag_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& [col, value] : rows[id_of[i]]) {
-      if (col == i) diag_[i] = cols_.size();
-      cols_.push_back(col);
-      vals_.push_back(value);
+  {
+    std::vector<std::size_t> next(row_ptr_.begin(), row_ptr_.end() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = col_ptr[j]; p < col_ptr[j + 1]; ++p) {
+        const std::size_t i = slot_of[lu_ids[p]];
+        if (i == j) diag_[i] = next[i];
+        cols_[next[i]] = j;
+        vals_[next[i]++] = lu_vals[p];
+      }
     }
-    row_ptr_[i + 1] = cols_.size();
   }
 
   a_nnz_ = a.nonzeros();

@@ -8,10 +8,14 @@
 // input pattern changes, the factorization transparently falls back to a
 // fresh symbolic analysis, so callers can treat factor() as always-correct.
 //
-// analyze() is a right-looking elimination with partial pivoting over map
-// rows. Rows stay where they were built; a slot table records which row
-// holds each pivot position, and per-column occupancy lists name the rows
-// with an entry in each column, so step k visits only the rows of column k.
+// analyze() is a left-looking (Gilbert-Peierls) elimination with partial
+// pivoting over flat arrays: a CSC copy of A, L and U kept by column, and
+// a dense accumulator. Each column applies the earlier pivot steps it
+// reaches in ascending order, so every entry takes its updates in the
+// order a right-looking elimination would, and the factors are bitwise
+// that elimination's. Rows never move; a slot table records which row
+// holds each pivot position. The factors are then transposed once into
+// the CSR the refactorization and solve use.
 //
 // Ahead of the symbolic phase systems of kAutoOrderingThreshold or more
 // unknowns, where banded fill starts to dominate, are reordered by a

@@ -1,24 +1,31 @@
 // AMD fill-reducing ordering: permutation validity, fill prediction, the
 // fill win on mesh patterns, and solve correctness under reordering — which
 // SparseLu applies from kAutoOrderingThreshold unknowns on and never below.
-// Plus the pivot-order oracle: SparseLu's analysis against the row-scan
-// elimination it replaced, bit for bit.
+// Plus the pivot-order oracle: SparseLu's left-looking analysis against a
+// right-looking row-scan elimination, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cells/pdn.hpp"
 #include "numeric/ordering.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
+#include "sim/circuit.hpp"
+#include "sim/device.hpp"
+#include "sim/stamper.hpp"
 #include "util/error.hpp"
 
+namespace sc = softfet::cells;
 namespace sn = softfet::numeric;
+namespace ss = softfet::sim;
 
 namespace {
 
@@ -298,11 +305,12 @@ TEST(SparseLuOrdering, SingularMatrixReportsOriginalColumn) {
   }
 }
 
-// Pivot-order oracle. SparseLu::analyze finds each step's pivot and update
-// rows through per-column occupancy lists; RowScanLu is the elimination it
-// replaced, which scans every row below the pivot. Same pivots (ties to the
-// lowest slot), same fill, same operation order per entry: the solves must
-// agree to the bit.
+// Pivot-order oracle. SparseLu::analyze eliminates left-looking, one column
+// at a time over flat arrays; RowScanLu is a right-looking elimination over
+// map rows that scans every row below the pivot and swaps rows physically.
+// Same pivots (largest magnitude, ties to the lowest slot), same fill, same
+// operation order per entry (l_ik * u_kj subtractions in ascending k): the
+// solves must agree to the bit.
 
 namespace {
 
@@ -408,18 +416,22 @@ class RowScanLu {
 };
 
 /// Both eliminations of `a`: the same singular column, or the same fill and
-/// bitwise the same solve.
-void expect_oracle_match(const sn::SparseMatrix& a, const std::string& what) {
-  std::vector<double> b(a.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = std::cos(0.7 * static_cast<double>(i)) + 0.1;
+/// bitwise the same solves of two right-hand sides. Returns the column
+/// SparseLu reported singular, or a.size() when it factored.
+std::size_t expect_oracle_match(const sn::SparseMatrix& a,
+                                const std::string& what) {
+  const std::size_t n = a.size();
+  std::vector<std::vector<double>> bs(2, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    bs[0][i] = std::cos(0.7 * static_cast<double>(i)) + 0.1;
+    bs[1][i] = (i % 3 == 0 ? -1.0 : 0.5) / static_cast<double>(i + 1);
   }
-  std::size_t oracle_column = a.size();
-  std::vector<double> expected;
+  std::size_t oracle_column = n;
+  std::vector<std::vector<double>> expected;
   std::size_t expected_fill = 0;
   try {
     const RowScanLu oracle(a);
-    expected = oracle.solve(b);
+    for (const auto& b : bs) expected.push_back(oracle.solve(b));
     expected_fill = oracle.fill_nonzeros();
   } catch (const softfet::SingularMatrixError& e) {
     oracle_column = e.column();
@@ -429,15 +441,20 @@ void expect_oracle_match(const sn::SparseMatrix& a, const std::string& what) {
     lu.factor(a);
   } catch (const softfet::SingularMatrixError& e) {
     EXPECT_EQ(e.column(), oracle_column) << what;
-    return;
+    return e.column();
   }
-  ASSERT_EQ(oracle_column, a.size()) << what << ": only the oracle threw";
+  EXPECT_EQ(oracle_column, n) << what << ": only the oracle threw";
+  if (oracle_column != n) return n;
   EXPECT_EQ(lu.fill_nonzeros(), expected_fill) << what;
-  const auto x = lu.solve(b);
-  ASSERT_EQ(x.size(), expected.size());
-  EXPECT_EQ(std::memcmp(x.data(), expected.data(), x.size() * sizeof(double)),
-            0)
-      << what;
+  for (std::size_t r = 0; r < bs.size(); ++r) {
+    const auto x = lu.solve(bs[r]);
+    EXPECT_EQ(x.size(), n) << what;
+    if (x.size() != n) continue;
+    EXPECT_EQ(std::memcmp(x.data(), expected[r].data(), n * sizeof(double)),
+              0)
+        << what << ", right-hand side " << r;
+  }
+  return n;
 }
 
 /// Random pattern whose values are drawn from {+-1, +-2}: most columns
@@ -457,6 +474,53 @@ sn::SparseMatrix tie_system(std::size_t n, std::mt19937& rng, bool diagonal) {
     // Every row and column gets a candidate so most draws are nonsingular.
     a.set(i, (i + 1) % n, values[value(rng)]);
     if (diagonal) a.set(i, i, values[value(rng)]);
+  }
+  return a;
+}
+
+/// The Jacobian of a 16x16 make_pdn_grid mesh at x = 0, every device
+/// stamped through sim::Stamper under `ctx`: 512 rail and decap nodes, the
+/// bump and regulator nodes, and the branch rows of the 16 bump inductors
+/// and the regulator's voltage source.
+sn::SparseMatrix pdn_jacobian(const ss::LoadContext& ctx) {
+  ss::Circuit c;
+  (void)sc::make_pdn_grid(c, "pdn", sc::PdnGridParams{});
+  c.prepare();
+  const std::vector<double> x(c.unknown_count(), 0.0);
+  std::vector<double> residual(x.size(), 0.0);
+  sn::SparseMatrix jacobian(x.size());
+  ss::Stamper stamper(jacobian, residual);
+  jacobian.begin_load();
+  for (const auto& device : c.devices()) {
+    if (ctx.mode == ss::AnalysisMode::kTransient) device->init_state(x);
+    device->load(x, stamper, ctx);
+  }
+  EXPECT_TRUE(jacobian.end_load());
+  return jacobian;
+}
+
+bool has_entry(const sn::SparseMatrix& a, std::size_t r, std::size_t c) {
+  return std::ranges::any_of(a.row(r),
+                             [c](const sn::SparseMatrix::Entry& e) {
+                               return e.col == c;
+                             });
+}
+
+/// Diagonally dominant chain with a few long-range couplings, so the
+/// natural-order elimination has both fill and several pivot candidates
+/// per column.
+sn::SparseMatrix coupled_chain(std::size_t n) {
+  sn::SparseMatrix a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a.add(i, i, 4.0 + 0.25 * static_cast<double>(i % 5));
+    if (i + 1 < n) {
+      a.add(i, i + 1, -1.0);
+      a.add(i + 1, i, -1.5);
+    }
+    if (i + 7 < n && i % 4 == 0) {
+      a.add(i, i + 7, 0.75);
+      a.add(i + 7, i, -0.5);
+    }
   }
   return a;
 }
@@ -543,4 +607,139 @@ TEST(PivotOracle, PivotDegradationReanalysisMatchesRowScan) {
         std::memcmp(x.data(), expected.data(), x.size() * sizeof(double)), 0)
         << side;
   }
+}
+
+TEST(PivotOracle, PdnGridJacobiansMatchRowScan) {
+  // Real MNA Jacobians of the 16x16 mesh PDN (AMD path): DC, where the
+  // inductors and the regulator are voltage-defined branch rows with no
+  // diagonal, and trapezoidal transient at two step sizes.
+  ss::LoadContext dc;
+  const auto a = pdn_jacobian(dc);
+  ASSERT_EQ(a.size(), 546u);
+  std::size_t no_diagonal = 0;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    if (!has_entry(a, r, r)) ++no_diagonal;
+  }
+  // The branch rows of the 16 bump inductors and of the regulator, and
+  // the regulator's node, which only those branch currents touch.
+  EXPECT_EQ(no_diagonal, 18u);
+  EXPECT_EQ(expect_oracle_match(a, "pdn dc"), a.size());
+  for (const double dt : {1e-12, 5e-11}) {
+    ss::LoadContext tran;
+    tran.mode = ss::AnalysisMode::kTransient;
+    tran.method = ss::IntegrationMethod::kTrapezoidal;
+    tran.dt = dt;
+    tran.time = dt;
+    const auto t = pdn_jacobian(tran);
+    EXPECT_EQ(expect_oracle_match(t, "pdn tran " +
+                                         std::to_string(dt * 1e12) + " ps"),
+              t.size());
+  }
+}
+
+TEST(PivotOracle, NonFiniteEntriesMatchRowScan) {
+  // NaN and +-Inf reaching the pivot search at the first, a middle and the
+  // last step, on the diagonal, below it and above it: both eliminations
+  // must report the same singular column or return the same bits.
+  const double values[3] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  std::size_t singular = 0;
+  std::size_t solved = 0;
+  for (const std::size_t n : {40u, 200u}) {  // natural order, then AMD
+    const auto base = n < sn::SparseLu::kAutoOrderingThreshold
+                          ? coupled_chain(n)
+                          : grid_system(10);
+    ASSERT_EQ(base.size(), n);
+    const auto q = n < sn::SparseLu::kAutoOrderingThreshold
+                       ? std::vector<std::size_t>{}
+                       : sn::amd_order(base);
+    const auto original = [&](std::size_t k) { return q.empty() ? k : q[k]; };
+    for (const std::size_t step : {std::size_t{0}, n / 2, n - 1}) {
+      const std::size_t col = original(step);
+      // Every entry of the column: the diagonal, rows pivoted earlier (U
+      // entries) and rows still to pivot (pivot candidates). The pattern,
+      // and so the permutation, stays.
+      for (std::size_t r = 0; r < n; ++r) {
+        if (!has_entry(base, r, col)) continue;
+        for (const double v : values) {
+          auto a = base;
+          a.set(r, col, v);
+          const std::string what = "n=" + std::to_string(n) +
+                                   " step=" + std::to_string(step) + " (" +
+                                   std::to_string(r) + "," +
+                                   std::to_string(col) + ")=" +
+                                   std::to_string(v);
+          if (expect_oracle_match(a, what) == n) {
+            ++solved;
+          } else {
+            ++singular;
+          }
+        }
+      }
+    }
+  }
+  // A candidate that goes non-finite poisons every later pivot search, so
+  // the factorizations that return do so with the value held in U: column
+  // 0 is its diagonal alone, no L column carries row 0 onward, and the
+  // solves return the non-finite bits. With an explicit +0.0 at (1, 0) the
+  // zero multiplier still takes its update, 0 * Inf included.
+  const std::size_t n = 40;
+  const auto chain = coupled_chain(n);
+  for (const bool zero_multiplier : {false, true}) {
+    for (const std::size_t step : {std::size_t{1}, n / 2, n - 1}) {
+      for (const double v : values) {
+        sn::SparseMatrix a(n);
+        for (std::size_t r = 0; r < n; ++r) {
+          for (const auto& e : chain.row(r)) {
+            if (r == 0 || e.col != 0) a.set(r, e.col, e.value);
+          }
+        }
+        if (zero_multiplier) a.set(1, 0, 0.0);
+        a.set(0, step, v);
+        const std::string what = "U(0," + std::to_string(step) + ")=" +
+                                 std::to_string(v) +
+                                 (zero_multiplier ? ", L(1,0)=0" : "");
+        if (expect_oracle_match(a, what) == n) {
+          ++solved;
+        } else {
+          ++singular;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so both comparisons ran.
+  EXPECT_GT(singular, 0u);
+  EXPECT_GT(solved, 0u);
+}
+
+TEST(PivotOracle, SignedZeroEntriesStillFill) {
+  // An arrow whose hub comes first: its row and column hold explicit +0.0
+  // and -0.0 entries only, and they still fill the whole matrix.
+  for (const std::size_t n : {8u, 30u}) {
+    sn::SparseMatrix a(n);
+    a.set(0, 0, 4.0);
+    for (std::size_t i = 1; i < n; ++i) {
+      a.set(i, 0, i % 2 == 0 ? 0.0 : -0.0);
+      a.set(0, i, i % 3 == 0 ? -0.0 : 0.0);
+      a.set(i, i, 2.0 + static_cast<double>(i % 4));
+    }
+    EXPECT_EQ(expect_oracle_match(a, "arrow " + std::to_string(n)), n);
+    const sn::SparseLu lu(a);
+    EXPECT_EQ(lu.fill_nonzeros(), n * n) << n;
+  }
+}
+
+TEST(PivotOracle, AmdSingularAtTheLastColumnReportsItsOriginalIndex) {
+  // Zero every value of the column AMD eliminates last (the pattern, and
+  // so the permutation, stays): only the last pivot search comes up empty,
+  // and the error names original column q[n-1].
+  auto a = grid_system(10);  // 200 unknowns
+  const std::size_t n = a.size();
+  const auto q = sn::amd_order(a);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (has_entry(a, r, q.back())) a.set(r, q.back(), 0.0);
+  }
+  EXPECT_EQ(expect_oracle_match(a, "amd last column"), q.back());
+  EXPECT_NE(q.back(), n - 1);  // the permutation matters here
 }
