@@ -154,8 +154,11 @@ int main() {
           std::to_string(n) + "x" + std::to_string(n);
       table.add_row({grid_name, is_soft ? "staircase" : "hard",
                      util::fmt_g(run.worst * 1e3, 3),
-                     "(" + std::to_string(run.worst_row) + "," +
-                         std::to_string(run.worst_col) + ")",
+                     std::string("(")
+                         .append(std::to_string(run.worst_row))
+                         .append(",")
+                         .append(std::to_string(run.worst_col))
+                         .append(")"),
                      util::fmt_g(run.tile_droop[n * n - 1] * 1e3, 3)});
       (is_soft ? soft : hard) = std::move(run);
     }

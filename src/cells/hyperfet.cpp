@@ -100,8 +100,12 @@ namespace {
     for (int col = 0; col < n; ++col) {
       const auto wl = c.node("wl" + std::to_string(row));
       const auto bl = c.node("bl" + std::to_string(col));
-      const std::string cell =
-          "c" + std::to_string(row) + "_" + std::to_string(col);
+      // Appended, not `"c" + ...`: GCC 12 reports a false -Wrestrict
+      // inside libstdc++'s operator+ for that form.
+      const std::string cell = std::string("c")
+                                   .append(std::to_string(row))
+                                   .append("_")
+                                   .append(std::to_string(col));
       const double r = (row == 0 && col == 0) ? r_selected : r_others;
       if (with_selector) {
         const auto mid = c.node(cell + ".mid");

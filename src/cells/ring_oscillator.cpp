@@ -17,16 +17,19 @@ RingOscillator make_ring_oscillator(const RingOscillatorSpec& spec) {
   c.add<sd::VSource>("Vdd", vdd, sim::kGroundNode,
                      sd::SourceSpec::dc(spec.vcc));
 
-  // Nodes n0..n(N-1); stage k drives n(k) from n(k-1 mod N).
+  // Nodes n0..n(N-1); stage k drives n(k) from n(k-1 mod N). Names are
+  // appended, not `"n" + std::to_string(k)`: GCC 12 reports a false
+  // -Wrestrict inside libstdc++'s operator+ for that form.
   std::vector<sim::NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(spec.stages));
   for (int k = 0; k < spec.stages; ++k) {
-    nodes.push_back(c.node("n" + std::to_string(k)));
+    nodes.push_back(c.node(std::string("n").append(std::to_string(k))));
   }
   for (int k = 0; k < spec.stages; ++k) {
     const auto in = nodes[static_cast<std::size_t>(
         (k + spec.stages - 1) % spec.stages)];
-    ring.stages.push_back(add_inverter(c, "s" + std::to_string(k), in,
+    const std::string stage = std::string("s").append(std::to_string(k));
+    ring.stages.push_back(add_inverter(c, stage, in,
                                        nodes[static_cast<std::size_t>(k)],
                                        vdd, sim::kGroundNode, spec.inverter));
   }

@@ -65,37 +65,45 @@ constexpr double kMaxMonteCarloLanes = 64.0;
 /// Stream the wanted columns of one finished sweep as `chunk` events of at
 /// most config->chunk_rows rows. Every chunk is self-describing (kind,
 /// columns, row_offset) so clients can reassemble without cross-chunk
-/// state; `last` marks the final chunk.
+/// state; `last` marks the final chunk. Each chunk's fields object is
+/// written as JSON text straight from the table's columns into one reused
+/// buffer, in the bytes JsonValue::dump() would give the same object.
 void stream_table(JobContext& ctx, const netlist::AnalysisTable& t,
                   const std::vector<std::string>& wanted) {
   const std::vector<std::size_t> selected = t.select(wanted);
-  JsonValue columns = JsonValue::array();
-  columns.push(JsonValue::string(t.axis_name));
-  for (const std::size_t i : selected)
-    columns.push(JsonValue::string(t.table.names()[i]));
+  std::string head = "{\"kind\":";
+  head.append(json_quote(netlist::to_string(t.kind)));
+  head.append(",\"columns\":[");
+  head.append(json_quote(t.axis_name));
+  for (const std::size_t i : selected) {
+    head.push_back(',');
+    head.append(json_quote(t.table.names()[i]));
+  }
+  head.append("],\"row_offset\":");
 
   const std::size_t rows = t.axis.size();
   const std::size_t chunk_rows =
       ctx.config != nullptr && ctx.config->chunk_rows > 0
           ? ctx.config->chunk_rows
           : 256;
+  std::string fields;
   for (std::size_t start = 0; start < rows; start += chunk_rows) {
     const std::size_t stop = std::min(rows, start + chunk_rows);
-    JsonValue fields = JsonValue::object();
-    fields.set("kind", JsonValue::string(netlist::to_string(t.kind)));
-    fields.set("columns", columns);
-    fields.set("row_offset", count(start));
-    JsonValue block = JsonValue::array();
+    fields.assign(head);
+    json_number(static_cast<double>(start), fields);
+    fields.append(",\"rows\":[");
     for (std::size_t row = start; row < stop; ++row) {
-      JsonValue values = JsonValue::array();
-      values.push(JsonValue::number(t.axis[row]));
-      for (const std::size_t i : selected)
-        values.push(JsonValue::number(t.table.column(i)[row]));
-      block.push(std::move(values));
+      if (row != start) fields.push_back(',');
+      fields.push_back('[');
+      json_number(t.axis[row], fields);
+      for (const std::size_t i : selected) {
+        fields.push_back(',');
+        json_number(t.table.column(i)[row], fields);
+      }
+      fields.push_back(']');
     }
-    fields.set("rows", std::move(block));
-    fields.set("last", JsonValue::boolean(stop == rows));
-    ctx.emit("chunk", std::move(fields));
+    fields.append(stop == rows ? "],\"last\":true}" : "],\"last\":false}");
+    ctx.emit("chunk", fields);
   }
 }
 
@@ -240,7 +248,7 @@ JobHandler monte_carlo_job_handler() {
         JsonValue fields = JsonValue::object();
         fields.set("samples_started", JsonValue::number(n));
         fields.set("total", JsonValue::number(samples));
-        ctx.emit("progress", std::move(fields));
+        ctx.emit("progress", fields.dump());
       }
     };
 

@@ -1,5 +1,6 @@
 #include "service/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -145,31 +146,31 @@ std::string json_quote(std::string_view text) {
   return out;
 }
 
-namespace {
-
-void dump_number(double v, std::string& out) {
+void json_number(double v, std::string& out) {
   if (!std::isfinite(v)) {
     // JSON has no inf/nan; the protocol encodes such payloads as strings.
     out += "null";
     return;
   }
+  // std::to_chars prints exactly what printf does in the "C" locale:
+  // integers within the exact-double range as "%lld" so counters and
+  // indices stay readable, everything else as round-trip "%.17g".
   char buf[32];
-  // Integers within the exact-double range print without a fraction so
-  // counters and indices stay readable; everything else round-trips.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
+  const std::to_chars_result r =
+      std::fabs(v) < 9.0e15 && v == std::trunc(v)
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
+
+namespace {
 
 void dump_value(const JsonValue& v, std::string& out) {
   switch (v.kind()) {
     case JsonValue::Kind::kNull: out += "null"; break;
     case JsonValue::Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
-    case JsonValue::Kind::kNumber: dump_number(v.as_number(), out); break;
+    case JsonValue::Kind::kNumber: json_number(v.as_number(), out); break;
     case JsonValue::Kind::kString: out += json_quote(v.as_string()); break;
     case JsonValue::Kind::kArray: {
       out += '[';

@@ -14,7 +14,9 @@
 // Numbers are doubles; integral values within the exact-double range print
 // without a fractional part, everything else uses round-trip precision
 // ("%.17g"), so hexfloat-critical payloads (checkpoint codecs) stay out of
-// JSON numbers and travel as strings instead.
+// JSON numbers and travel as strings instead. json_number() is the one
+// number serializer: it prints through std::to_chars, whose bytes are
+// printf's "%lld" / "%.17g" bytes without printf's format parsing.
 #pragma once
 
 #include <cstddef>
@@ -92,6 +94,12 @@ class JsonValue {
 /// whitespace aside). Throws softfet::ParseError with the 1-based line and
 /// column of the offending character.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
+
+/// Append the JSON text of number `v` to `out`: "%lld" bytes for integers
+/// below 9e15 in magnitude, "%.17g" bytes otherwise, `null` when not finite.
+/// JsonValue::dump() prints every number through it; hot paths that write
+/// JSON text directly (waveform chunks) call it to stay byte-identical.
+void json_number(double v, std::string& out);
 
 /// Escape a string into a JSON string literal (with quotes).
 [[nodiscard]] std::string json_quote(std::string_view text);

@@ -23,11 +23,11 @@ Request parse_request(const std::string& line) {
 }
 
 JsonValue make_event(const std::string& id, std::uint64_t seq,
-                     const char* event) {
+                     std::string_view event) {
   JsonValue out = JsonValue::object();
   out.set("id", JsonValue::string(id));
   out.set("seq", JsonValue::number(static_cast<double>(seq)));
-  out.set("event", JsonValue::string(event));
+  out.set("event", JsonValue::string(std::string(event)));
   return out;
 }
 

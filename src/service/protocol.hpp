@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/json.hpp"
 #include "util/error.hpp"
@@ -64,7 +65,7 @@ inline constexpr const char* kErrorWorkerCrashed = "worker_crashed";
 
 /// Response skeleton: {"id":…,"seq":N,"event":…}.
 [[nodiscard]] JsonValue make_event(const std::string& id, std::uint64_t seq,
-                                   const char* event);
+                                   std::string_view event);
 
 /// Full SolverDiagnostics -> JSON (summary line plus the structured
 /// fields batch drivers already rely on).

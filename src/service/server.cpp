@@ -277,7 +277,7 @@ void Server::handle_line(const std::string& line, const Sink& sink) {
   JsonValue accepted_fields = JsonValue::object();
   accepted_fields.set("queue_depth",
                       JsonValue::number(static_cast<double>(queue_.depth())));
-  emit_event(job, "accepted", std::move(accepted_fields), false);
+  emit_event(job, "accepted", accepted_fields, false);
 
   if (queue_.try_push(job) != PushResult::kAdmitted) {
     // Unreachable by construction (bound pre-checked, close serialized
@@ -487,9 +487,9 @@ AttemptOutcome run_handler_attempt(const JobHandler& handler,
   ctx.checkpoint_path = actx.checkpoint_path;
   bool finished = false;
   std::size_t streamed = 0;
-  ctx.emit = [&](const char* event, JsonValue fields) {
+  ctx.emit = [&](const char* event, const std::string& fields_json) {
     if (finished) return;  // terminal latch: nothing streams past finish()
-    if (actx.emit) streamed += actx.emit(event, std::move(fields));
+    if (actx.emit) streamed += actx.emit(event, fields_json);
     if (streamed > kMaxStreamedBytes) {
       throw BudgetExceededError(
           "job output exceeded " + std::to_string(kMaxStreamedBytes) +
@@ -586,7 +586,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
   const auto emit_cancelled = [&](const std::string& reason) {
     JsonValue fields = JsonValue::object();
     if (!reason.empty()) fields.set("message", JsonValue::string(reason));
-    emit_event(job, "cancelled", std::move(fields), true);
+    emit_event(job, "cancelled", fields, true);
     ++cancelled_;
     // A client cancel is final — drop the job's state. A shutdown cancel
     // keeps journal + checkpoint so a restarted daemon resumes the job.
@@ -615,7 +615,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
     JsonValue fields = JsonValue::object();
     fields.set("type", JsonValue::string(job->request.type));
     fields.set("timeout_seconds", JsonValue::number(timeout));
-    emit_event(job, "started", std::move(fields), false);
+    emit_event(job, "started", fields, false);
   }
 
   // At most two attempts: a failure core::classify_failure grants a rerun
@@ -639,8 +639,8 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
       }
       verdict = supervisor_->run_job(
           slot, wjob,
-          [this, job](const char* event, const std::string& fields_json) {
-            emit_event_raw(job, event, fields_json);
+          [this, job](std::string_view event, std::string_view fields_json) {
+            emit_event_raw(job, event, fields_json, false);
           },
           job->cancel);
     } else {
@@ -651,15 +651,16 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
       actx.attempt = attempt;
       actx.timeout_seconds = timeout;
       actx.checkpoint_path = checkpoint_path_for(job->request);
-      actx.emit = [this, job](const char* event, JsonValue fields) {
-        return emit_event(job, event, std::move(fields), false);
+      actx.emit = [this, job](const char* event,
+                              const std::string& fields_json) {
+        return emit_event_raw(job, event, fields_json, false);
       };
       verdict = run_handler_attempt(handler->second, job->request, actx);
     }
 
     switch (verdict.kind) {
       case AttemptOutcome::Kind::kResult:
-        emit_event(job, "result", std::move(verdict.fields), true);
+        emit_event(job, "result", verdict.fields, true);
         ++completed_;
         finish_job(job, /*keep_journal=*/false);
         return;
@@ -672,7 +673,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
           JsonValue fields = JsonValue::object();
           fields.set("attempt", JsonValue::number(2));
           fields.set("message", JsonValue::string(verdict.message));
-          emit_event(job, "retrying", std::move(fields), false);
+          emit_event(job, "retrying", fields, false);
           if (job->cancel.requested()) {
             emit_cancelled("cancelled before retry");
             return;
@@ -680,7 +681,7 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
           continue;
         }
         ++failed_;
-        emit_event(job, "error", std::move(verdict.fields), true);
+        emit_event(job, "error", verdict.fields, true);
         finish_job(job, /*keep_journal=*/false);
         return;
       case AttemptOutcome::Kind::kCrashed:
@@ -695,35 +696,26 @@ void Server::run_job(const JobPtr& job, std::size_t slot) {
   }
 }
 
-std::size_t Server::emit_event(const JobPtr& job, const char* event,
-                               JsonValue fields, bool terminal) {
+std::size_t Server::emit_event_raw(const JobPtr& job, std::string_view event,
+                                   std::string_view fields_json,
+                                   bool terminal) {
   // Sink calls happen under the emit lock: response lines are serialized
   // process-wide and every job's seq order equals its line order. Sinks
   // must not call back into the Server.
   const std::lock_guard<std::mutex> lock(emit_mutex_);
   if (job->terminal) return 0;  // never emit past a terminal event
   if (terminal) job->terminal = true;
-  JsonValue out = make_event(job->request.id, job->seq++, event);
-  for (const auto& [key, value] : fields.members()) out.set(key, value);
-  const std::string line = out.dump();
-  job->sink(line);
-  return line.size();
-}
-
-void Server::emit_event_raw(const JobPtr& job, const char* event,
-                            const std::string& fields_json) {
-  const std::lock_guard<std::mutex> lock(emit_mutex_);
-  if (job->terminal) return;  // never emit past a terminal event
   std::string line = make_event(job->request.id, job->seq++, event).dump();
-  // Splice the worker's pre-serialized fields members into the event
-  // object. The worker dumped them with this process's own canonical
-  // serializer, so the line is byte-identical to the parse-merge-dump the
-  // thread path does — without parsing multi-KB chunk payloads twice.
+  // Splice the fields object's members into the event object. They were
+  // printed by this process's own canonical serializer (a handler, a
+  // JsonValue::dump() or a worker's frame), so the line is byte-identical
+  // to dumping one merged object, without building or parsing it.
   if (fields_json.size() > 2 && fields_json.front() == '{') {
     line.back() = ',';
-    line.append(fields_json, 1, fields_json.size() - 1);
+    line.append(fields_json, 1);
   }
   job->sink(line);
+  return line.size();
 }
 
 JsonValue error_event_fields(const std::exception& error,

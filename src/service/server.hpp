@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "service/cache.hpp"
@@ -123,7 +124,12 @@ using Sink = std::function<void(const std::string& line)>;
 
 /// Execution context a job handler runs under. `options` is pre-armed with
 /// the per-attempt budget and the job's cancel token; handlers stream via
-/// emit() and MUST end a successful run with exactly one finish().
+/// emit() and MUST end a successful run with exactly one finish(). emit()
+/// takes the event's fields as one serialized JSON object ("{...}", as
+/// JsonValue::dump() prints it); its members are spliced unchanged into
+/// the response line in both isolation modes, so a handler that writes
+/// the text itself (waveform chunks) never builds a JsonValue tree. The
+/// fields must not repeat the line's own `id`, `seq` or `event` keys.
 struct JobContext {
   sim::SimOptions options;
   const ServerConfig* config = nullptr;
@@ -131,7 +137,7 @@ struct JobContext {
   util::CancelToken* cancel = nullptr;
   int attempt = 1;               ///< 1-based; >1 runs tightened options
   std::string checkpoint_path;   ///< per-job ("" when state_dir is off)
-  std::function<void(const char* event, JsonValue fields)> emit;
+  std::function<void(const char* event, const std::string& fields_json)> emit;
   std::function<void(JsonValue fields)> finish;
 };
 
@@ -176,11 +182,14 @@ struct AttemptContext {
   int attempt = 1;
   double timeout_seconds = 0.0;
   std::string checkpoint_path;
-  /// Non-terminal event pass-through (chunk/progress); returns the bytes
-  /// it wrote, which count against kMaxStreamedBytes. Events arriving
-  /// after the handler's finish() are dropped, matching the server's
-  /// terminal latch.
-  std::function<std::size_t(const char* event, JsonValue fields)> emit;
+  /// Non-terminal event pass-through (chunk/progress; the fields arrive
+  /// serialized, as JobContext::emit got them); returns the bytes it
+  /// wrote, which count against kMaxStreamedBytes. Events arriving after
+  /// the handler's finish() are dropped, matching the server's terminal
+  /// latch.
+  std::function<std::size_t(const char* event,
+                            const std::string& fields_json)>
+      emit;
 };
 
 /// Run one handler attempt to a classified outcome. Never throws: every
@@ -263,14 +272,17 @@ class Server {
 
   void worker_loop(std::size_t slot);
   void run_job(const JobPtr& job, std::size_t slot);
-  /// Returns the bytes of the line written (0 past a terminal event).
+  /// Write one event line: id, seq and event name, then the members of
+  /// the serialized fields object `fields_json` spliced in unchanged (a
+  /// handler's chunk text or a worker frame, never re-parsed). Returns the
+  /// bytes of the line written (0 past a terminal event).
+  std::size_t emit_event_raw(const JobPtr& job, std::string_view event,
+                             std::string_view fields_json, bool terminal);
+  /// emit_event_raw with `fields` serialized by JsonValue::dump().
   std::size_t emit_event(const JobPtr& job, const char* event,
-                         JsonValue fields, bool terminal);
-  /// Non-terminal event whose fields are already serialized (a worker
-  /// frame): splices the JSON object's members into the response line,
-  /// byte-identical to emit_event but without re-parsing the fields.
-  void emit_event_raw(const JobPtr& job, const char* event,
-                      const std::string& fields_json);
+                         const JsonValue& fields, bool terminal) {
+    return emit_event_raw(job, event, fields.dump(), terminal);
+  }
   void record_latency(const JobPtr& job);
   [[nodiscard]] unsigned dynamic_retry_after_ms() const;
   void emit_terminal_error(const JobPtr& job, const std::exception& error);

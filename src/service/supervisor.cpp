@@ -189,13 +189,12 @@ void child_run_one_job(const SupervisorConfig& cfg, ChildState& st,
       actx.timeout_seconds = timeout;
       actx.checkpoint_path = frame.string_or("checkpoint_path", "");
       std::uint64_t emitted = 0;
-      actx.emit = [&](const char* event, JsonValue fields) {
+      actx.emit = [&](const char* event, const std::string& fields_json) {
         util::crash_set_last_seq(++emitted);
-        // Raw event frame: 'E' + name + '\n' + serialized fields. The
-        // fields are dumped exactly once, here; the parent splices the
-        // bytes straight into its response line instead of paying a
-        // parse + re-dump on every (potentially multi-KB chunk) event.
-        const std::string fields_json = fields.dump();
+        // Raw event frame: 'E' + name + '\n' + the handler's serialized
+        // fields, as-is; the parent splices the bytes straight into its
+        // response line instead of paying a parse + re-dump on every
+        // (potentially multi-KB chunk) event.
         std::string payload;
         payload.reserve(2 + std::char_traits<char>::length(event) +
                         fields_json.size());
@@ -477,8 +476,8 @@ AttemptOutcome Supervisor::retire_worker(std::size_t slot_index,
 
 AttemptOutcome Supervisor::run_job(
     std::size_t slot_index, const WorkerJob& job,
-    const std::function<void(const char* event,
-                             const std::string& fields_json)>& emit,
+    const std::function<void(std::string_view event,
+                             std::string_view fields_json)>& emit,
     const util::CancelToken& cancel) {
   Slot& slot = *slots_[slot_index];
 
@@ -533,13 +532,14 @@ AttemptOutcome Supervisor::run_job(
     if (got == util::FrameRead::kFrame) {
       heartbeat_deadline = now + heartbeat_timeout;
       // Raw event fast path ('E' + name + '\n' + fields JSON): hand the
-      // already-serialized fields through verbatim — chunk frames are the
-      // hot path and never need parsing here.
+      // already-serialized fields through verbatim, as views into the
+      // frame — chunk frames are the hot path and are neither parsed nor
+      // copied here.
       if (!payload.empty() && payload[0] == 'E') {
         const std::size_t nl = payload.find('\n');
         if (nl != std::string::npos) {
-          const std::string name = payload.substr(1, nl - 1);
-          emit(name.c_str(), payload.substr(nl + 1));
+          const std::string_view raw(payload);
+          emit(raw.substr(1, nl - 1), raw.substr(nl + 1));
         }
         continue;
       }

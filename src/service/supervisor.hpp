@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/server.hpp"
@@ -95,15 +96,16 @@ class Supervisor {
 
   /// Run one attempt on slot `slot`'s worker (spawning/respawning it as
   /// needed), streaming non-terminal events through `emit` — the fields
-  /// arrive as the worker's own serialized JSON object, ready to splice
-  /// into a response line without re-parsing. Blocks until a terminal
+  /// arrive as views of the worker's own serialized JSON object inside
+  /// the received frame (valid for the call only), ready to splice into a
+  /// response line without re-parsing or copying. Blocks until a terminal
   /// frame, worker death, or a kill decision. `cancel` is watched
   /// throughout and forwarded to the worker as a cancel frame. MUST only
   /// be called by the one thread that owns `slot`.
   [[nodiscard]] AttemptOutcome run_job(
       std::size_t slot, const WorkerJob& job,
-      const std::function<void(const char* event,
-                               const std::string& fields_json)>& emit,
+      const std::function<void(std::string_view event,
+                               std::string_view fields_json)>& emit,
       const util::CancelToken& cancel);
 
   /// Make slot `slot`'s worker live: after its respawn backoff, spawn it

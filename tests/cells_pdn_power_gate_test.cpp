@@ -94,7 +94,7 @@ TEST(PdnGrid, DcIrDropMatchesLumpedTotals) {
       c, "pdn", sc::PdnGridParams::from_lumped(params, 8, 8));
   c.add<sd::Resistor>("Rload", grid.tile(4, 4), ss::kGroundNode, 100.0);
   const auto op = ss::dc_operating_point(c);
-  const double v = op.x[grid.tile(4, 4) - 1];
+  const double v = op.x[static_cast<std::size_t>(grid.tile(4, 4) - 1)];
   const double ir_pkg = params.r_pkg * (params.vcc / 100.0);
   EXPECT_LT(v, params.vcc - 0.5 * ir_pkg);
   EXPECT_GT(v, params.vcc - 20.0 * ir_pkg);

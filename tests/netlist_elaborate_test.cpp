@@ -223,7 +223,7 @@ TEST(Elaborate, RecursiveSubcktsAreParseErrors) {
   const auto doubling = [](int levels) {
     std::string text = "doubling\n.subckt d0 a\nR1 a 0 1k\n.ends\n";
     for (int k = 1; k <= levels; ++k) {
-      const std::string below = "d" + std::to_string(k - 1);
+      const std::string below = std::string("d").append(std::to_string(k - 1));
       text += ".subckt d" + std::to_string(k) + " a\nX1 a " + below +
               "\nX2 a " + below + "\n.ends\n";
     }

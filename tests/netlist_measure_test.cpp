@@ -80,10 +80,8 @@ R1 a 0 1k
 TEST(Measure, MalformedDirectivesThrow) {
   EXPECT_THROW((void)nl::parse("t\n.measure tran x\n"), softfet::ParseError);
 
-  nl::MeasureDirective bad;
-  bad.analysis = "ac";
-  bad.name = "x";
-  bad.tokens = {"max", "v(a)"};
+  nl::MeasureDirective bad{.analysis = "ac", .name = "x",
+                           .tokens = {"max", "v(a)"}};
   ss::TranResult empty;
   EXPECT_THROW((void)nl::evaluate_measure(bad, empty), softfet::ParseError);
 
@@ -114,10 +112,8 @@ TEST(Measure, TruncatedTrigTargThrowsParseErrorNotOutOfRange) {
   // std::out_of_range from tokens.at(++i); every truncation must surface as
   // a ParseError carrying the netlist line instead.
   ss::TranResult empty;
-  nl::MeasureDirective bad;
-  bad.analysis = "tran";
-  bad.name = "d";
-  bad.line = 12;
+  nl::MeasureDirective bad{
+      .line = 12, .analysis = "tran", .name = "d", .tokens = {}};
 
   const std::vector<std::vector<std::string>> truncations = {
       {"TRIG"},                                         // no trigger signal

@@ -45,9 +45,10 @@ class Residual final : public ss::Device {
   void setup(ss::Circuit& circuit) override {
     unknowns_.clear();
     for (std::size_t i = 0; i < guess_.size(); ++i) {
-      unknowns_.push_back(nodes_.empty() ? circuit.claim_branch_unknown(
-                                               "x" + std::to_string(i))
-                                         : circuit.node_unknown(nodes_[i]));
+      unknowns_.push_back(nodes_.empty()
+                              ? circuit.claim_branch_unknown(
+                                    std::string("x").append(std::to_string(i)))
+                              : circuit.node_unknown(nodes_[i]));
     }
   }
 
@@ -120,7 +121,7 @@ Solved solve(std::vector<double> guess, const Residual::Function& function,
   std::vector<ss::NodeId> nodes;
   if (on_nodes) {
     for (std::size_t i = 0; i < guess.size(); ++i) {
-      nodes.push_back(c.node("n" + std::to_string(i)));
+      nodes.push_back(c.node(std::string("n").append(std::to_string(i))));
     }
   }
   const Residual* device =

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "netlist/parser.hpp"
 #include "service/json.hpp"
@@ -57,6 +64,57 @@ TEST(Json, NonFiniteNumbersSerializeAsNull) {
   obj.set("inf", ss::JsonValue::number(INFINITY));
   obj.set("nan", ss::JsonValue::number(NAN));
   EXPECT_EQ(obj.dump(), R"({"inf":null,"nan":null})");
+}
+
+namespace {
+
+/// The number rule in printf terms: "%lld" for integers below 9e15 in
+/// magnitude, "%.17g" for every other finite double, null otherwise.
+std::string printf_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  if (std::fabs(v) < 9.0e15 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  return buf;
+}
+
+}  // namespace
+
+TEST(JsonNumber, MatchesPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX, -DBL_MAX,
+      std::ldexp(1.0, 53) - 1.0, std::ldexp(1.0, 53) + 1.0,
+      std::ldexp(1.0, 53), -std::ldexp(1.0, 53),
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.1, -2.5e3};
+  // Each switch point with its neighbours: the integer cut at 9e15 and
+  // %g's move to exponent form below 1e-4 and from 1e17 on.
+  for (const double edge : {9.0e15, -9.0e15, 1e-5, 1e-4, 1e16, 1e17}) {
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, -kInf));
+    values.push_back(std::nextafter(edge, kInf));
+  }
+  std::mt19937_64 rng(20181);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  int mismatches = 0;
+  for (const double v : values) {
+    std::string got;
+    ss::json_number(v, got);
+    const std::string want = printf_number(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "json_number gave " << got << ", printf " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, ParseErrorsCarryLineAndColumn) {
@@ -335,10 +393,11 @@ namespace {
                                          const std::string& analyses) {
   std::string deck = "rc ladder\nV1 n0 0 DC 0 AC 1\n";
   for (int k = 1; k <= sections; ++k) {
-    const std::string a = "n" + std::to_string(k - 1);
-    const std::string b = "n" + std::to_string(k);
-    deck += "R" + std::to_string(k) + " " + a + " " + b + " 1k\n";
-    deck += "C" + std::to_string(k) + " " + b + " 0 1p\n";
+    const std::string n = std::to_string(k);
+    const std::string a = std::string("n").append(std::to_string(k - 1));
+    const std::string b = std::string("n").append(n);
+    deck.append("R").append(n).append(" ").append(a).append(" ").append(b);
+    deck.append(" 1k\nC").append(n).append(" ").append(b).append(" 0 1p\n");
   }
   return deck + analyses + "\n.end\n";
 }

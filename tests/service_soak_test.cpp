@@ -332,8 +332,10 @@ TEST(ServiceSoak, ThousandsOfFaultInjectedJobsKeepTheContract) {
     std::vector<std::string> my_jobs;
     std::vector<std::string> my_controls;
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string id =
-          "j" + std::to_string(tid) + "-" + std::to_string(i);
+      const std::string id = std::string("j")
+                                 .append(std::to_string(tid))
+                                 .append("-")
+                                 .append(std::to_string(i));
       const std::string idq = "\"id\":\"" + id + "\"";
       switch (i % 20) {
         case 0:  // malformed NDJSON -> standalone rejection with empty id
@@ -465,7 +467,7 @@ namespace {
   std::string text = rc_netlist(variant);
   for (std::size_t nl = text.find("\\n"); nl != std::string::npos;
        nl = text.find("\\n")) {
-    text.replace(nl, 2, "\n");
+    text.replace(nl, 2, 1, '\n');
   }
   return text;
 }
@@ -789,7 +791,7 @@ TEST(ServiceHardFault, MixedHardFaultWorkloadIsContained) {
   std::vector<std::string> job_ids;
   std::map<std::string, std::string> kind_of;
   for (int i = 0; i < kJobs; ++i) {
-    const std::string id = "h" + std::to_string(i);
+    const std::string id = std::string("h").append(std::to_string(i));
     const std::string idq = "\"id\":\"" + id + "\"";
     std::string kind;
     switch (i % 12) {

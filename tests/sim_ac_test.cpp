@@ -208,9 +208,10 @@ void add_rc_ladder(ss::Circuit& c) {
   auto prev = c.node("n0");
   c.add<sd::VSource>("V1", prev, ss::kGroundNode, spec);
   for (int k = 1; k <= 60; ++k) {
-    const auto node = c.node("n" + std::to_string(k));
-    c.add<sd::Resistor>("R" + std::to_string(k), prev, node, 1e3);
-    c.add<sd::Capacitor>("C" + std::to_string(k), node, ss::kGroundNode,
+    const std::string n = std::to_string(k);
+    const auto node = c.node(std::string("n").append(n));
+    c.add<sd::Resistor>(std::string("R").append(n), prev, node, 1e3);
+    c.add<sd::Capacitor>(std::string("C").append(n), node, ss::kGroundNode,
                          1e-12);
     prev = node;
   }

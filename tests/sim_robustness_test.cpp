@@ -50,9 +50,10 @@ TEST(Robustness, DiodeChainNeedsHomotopy) {
   auto prev = c.node("in");
   c.add<sd::VSource>("V1", prev, ss::kGroundNode, sd::SourceSpec::dc(6.0));
   for (int i = 0; i < 8; ++i) {
-    const auto next = (i == 7) ? ss::kGroundNode
-                               : c.node("d" + std::to_string(i));
-    c.add<sd::Diode>("D" + std::to_string(i), prev, next);
+    const std::string n = std::to_string(i);
+    const auto next =
+        (i == 7) ? ss::kGroundNode : c.node(std::string("d").append(n));
+    c.add<sd::Diode>(std::string("D").append(n), prev, next);
     prev = next;
   }
   const auto op = ss::dc_operating_point(c);

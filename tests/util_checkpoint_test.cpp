@@ -144,6 +144,19 @@ TEST(Checkpoint, SaveLeavesNoTmpBehind) {
   EXPECT_TRUE(real.good());
 }
 
+namespace {
+
+/// Writer t's payload for `slot` ("t3 s7"). Appended, not `"t" + ...`:
+/// GCC 12 reports a false -Wrestrict inside libstdc++'s operator+ there.
+std::string writer_payload(int t, std::size_t slot) {
+  return std::string("t")
+      .append(std::to_string(t))
+      .append(" s")
+      .append(std::to_string(slot));
+}
+
+}  // namespace
+
 TEST(Checkpoint, ConcurrentWritersToDistinctFiles) {
   // N threads save their own files into one shared directory. Saves fsync
   // through per-save unique tmp names, so after the storm every file loads
@@ -161,8 +174,7 @@ TEST(Checkpoint, ConcurrentWritersToDistinctFiles) {
       const std::string path = (dir / ("w" + std::to_string(t))).string();
       auto ckpt = su::Checkpoint::load_or_create(path, "writer", kSlots);
       for (std::size_t slot = 0; slot < kSlots; ++slot) {
-        ckpt.record(slot, "t" + std::to_string(t) + " s" +
-                              std::to_string(slot));
+        ckpt.record(slot, writer_payload(t, slot));
         ckpt.save(path);  // save every record: maximum rename contention
       }
     });
@@ -175,8 +187,7 @@ TEST(Checkpoint, ConcurrentWritersToDistinctFiles) {
     EXPECT_EQ(loaded.completed(), kSlots) << path;
     for (std::size_t slot = 0; slot < kSlots; ++slot) {
       ASSERT_TRUE(loaded.has(slot)) << path << " slot " << slot;
-      EXPECT_EQ(*loaded.payload(slot),
-                "t" + std::to_string(t) + " s" + std::to_string(slot));
+      EXPECT_EQ(*loaded.payload(slot), writer_payload(t, slot));
     }
   }
   for (const auto& entry : fs::directory_iterator(dir)) {
