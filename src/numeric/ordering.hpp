@@ -9,9 +9,12 @@
 //
 // amd_order() implements minimum degree over the quotient (element) graph
 // with Amestoy/Davis/Duff-style approximate external degrees and element
-// absorption. Ties break on the lowest original index, so the permutation
-// is a pure function of the pattern — identical across platforms and runs,
-// which the bitwise-reproducibility contract of the simulator requires.
+// absorption (no supervariables, no aggressive absorption), on flat arrays
+// and an indexed heap. Ties break on the lowest original index, so the
+// permutation is a pure function of the pattern — identical across
+// platforms and runs, which the bitwise-reproducibility contract of the
+// simulator requires. tests/amd_oracle.hpp keeps the implementation this
+// one replaced; the tests hold both to one order.
 #pragma once
 
 #include <cstddef>

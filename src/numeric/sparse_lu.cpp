@@ -1,10 +1,11 @@
 #include "numeric/sparse_lu.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <span>
+#include <type_traits>
 
 #include "numeric/ordering.hpp"
 #include "util/error.hpp"
@@ -21,20 +22,33 @@ void SparseLu::factor(const SparseMatrix& a) {
   analyze(a);
 }
 
+namespace {
+
+/// Same bytes, so the same pattern and the same value bits: -0.0 is not
+/// +0.0, and a NaN matches only its own payload.
+template <typename T>
+bool same_bits(std::span<const T> x,
+               std::type_identity_t<std::span<const T>> y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+}
+
+static_assert(sizeof(SparseMatrix::Entry) ==
+                  sizeof(std::size_t) + sizeof(double),
+              "Entry bytes are compared whole: it must have no padding");
+
+}  // namespace
+
 bool SparseLu::holds(const SparseMatrix& a) const {
   if (!holds_ || a.size() != n_) return false;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const auto a_row = a.row(perm_[i]);
-    std::size_t slot = a_row_ptr_[i];
-    if (a_row.size() != a_row_ptr_[i + 1] - slot) return false;
-    for (const auto& [col, value] : a_row) {
-      // Bits, not ==: -0.0 == +0.0, and a NaN never equals itself.
-      if (a_cols_[slot] != col ||
-          std::bit_cast<std::uint64_t>(value) !=
-              std::bit_cast<std::uint64_t>(a_vals_[slot])) {
-        return false;
-      }
-      ++slot;
+  const std::span<const SparseMatrix::Entry> held(a_entries_);
+  if (a.flat()) {
+    return same_bits(a.offsets(), a_offsets_) && same_bits(a.entries(), held);
+  }
+  for (std::size_t r = 0; r < n_; ++r) {
+    const std::size_t k = a_offsets_[r];
+    if (!same_bits(a.row(r), held.subspan(k, a_offsets_[r + 1] - k))) {
+      return false;
     }
   }
   return true;
@@ -189,9 +203,9 @@ void SparseLu::analyze(const SparseMatrix& a) {
   }
 
   // Transpose the factors into CSR in one pass; visiting columns in
-  // ascending order leaves every row's columns sorted. Then record the
-  // permuted A pattern so later factor() calls can scatter + eliminate
-  // over flat arrays.
+  // ascending order leaves every row's columns sorted. Then copy A, with
+  // each entry's permuted column, so later factor() calls can check the
+  // pattern, scatter and eliminate over flat arrays.
   n_ = n;
   q_ = std::move(q);
   qinv_ = std::move(qinv);
@@ -220,20 +234,18 @@ void SparseLu::analyze(const SparseMatrix& a) {
     }
   }
 
-  a_nnz_ = a.nonzeros();
-  a_row_ptr_.assign(n + 1, 0);
-  a_cols_.clear();
-  a_cols_.reserve(a_nnz_);
+  a_offsets_.assign(n + 1, 0);
+  a_entries_.clear();
+  a_entries_.reserve(a.nonzeros());
   a_scatter_.clear();
-  a_scatter_.reserve(a_nnz_);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& e : a.row(perm_[i])) {
-      a_cols_.push_back(e.col);
+  a_scatter_.reserve(a.nonzeros());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const auto& e : a.row(r)) {
+      a_entries_.push_back(e);
       a_scatter_.push_back(reorder ? qinv_[e.col] : e.col);
     }
-    a_row_ptr_[i + 1] = a_cols_.size();
+    a_offsets_[r + 1] = a_entries_.size();
   }
-  a_vals_.resize(a_nnz_);
 
   work_.assign(n, 0.0);
 }
@@ -241,32 +253,25 @@ void SparseLu::analyze(const SparseMatrix& a) {
 bool SparseLu::try_refactor(const SparseMatrix& a) {
   const std::size_t n = n_;
 
-  // Up-looking elimination over the cached structure: per factored row,
-  // scatter the permuted A row into the dense accumulator, apply the updates
-  // from all earlier U rows in ascending pivot order (the same operation
-  // order as the analyzing pass), then gather back into the CSR slots.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto a_row = a.row(perm_[i]);
-    const std::size_t expected = a_row_ptr_[i + 1] - a_row_ptr_[i];
-    if (a_row.size() != expected) {
-      // Pattern changed; clean the accumulator before bailing out.
-      std::fill(work_.begin(), work_.end(), 0.0);
-      return false;
-    }
-    std::size_t slot = a_row_ptr_[i];
-    bool pattern_ok = true;
+  // Take A's values into the copy, checking its pattern on the way.
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto a_row = a.row(r);
+    std::size_t k = a_offsets_[r];
+    if (a_row.size() != a_offsets_[r + 1] - k) return false;
     for (const auto& [col, value] : a_row) {
-      if (a_cols_[slot] != col) {
-        pattern_ok = false;
-        break;
-      }
-      work_[a_scatter_[slot]] = value;
-      a_vals_[slot] = value;
-      ++slot;
+      if (a_entries_[k].col != col) return false;
+      a_entries_[k++].value = value;
     }
-    if (!pattern_ok) {
-      std::fill(work_.begin(), work_.end(), 0.0);
-      return false;
+  }
+
+  // Up-looking elimination over the cached structure: per factored row,
+  // scatter its A row into the dense accumulator, apply the updates from
+  // all earlier U rows in ascending pivot order (the same operation order
+  // as the analyzing pass), then gather back into the CSR slots.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = perm_[i];
+    for (std::size_t k = a_offsets_[r]; k < a_offsets_[r + 1]; ++k) {
+      work_[a_scatter_[k]] = a_entries_[k].value;
     }
 
     for (std::size_t s = row_ptr_[i]; s < diag_[i]; ++s) {

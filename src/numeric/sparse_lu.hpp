@@ -24,7 +24,7 @@
 // refactorization path is identical in shape whether or not the matrix was
 // reordered.
 //
-// After a numeric refactorization the object remembers the values it
+// After a numeric refactorization the object keeps a copy of the matrix it
 // factored, and holds(a) tells a caller (LinearSolver) whether `a` is that
 // matrix bit for bit, so the factors can be reused without calling factor().
 // factor() itself always does the work it is asked for.
@@ -75,9 +75,9 @@ class SparseLu {
   /// nnz(L+U) / nnz(A) of the cached analysis (1.0 = no fill-in at all;
   /// 0.0 before the first factorization).
   [[nodiscard]] double fill_ratio() const noexcept {
-    return a_nnz_ == 0 ? 0.0
-                       : static_cast<double>(cols_.size()) /
-                             static_cast<double>(a_nnz_);
+    return a_entries_.empty() ? 0.0
+                              : static_cast<double>(cols_.size()) /
+                                    static_cast<double>(a_entries_.size());
   }
   /// True when the cached analysis runs under an AMD permutation.
   [[nodiscard]] bool reordered() const noexcept { return !q_.empty(); }
@@ -116,16 +116,13 @@ class SparseLu {
   std::vector<std::size_t> diag_;
   std::vector<std::size_t> perm_;  ///< factored row i came from A row perm_[i]
 
-  // Expected pattern of A in permuted row order: a_cols_ holds the original
-  // column indices in each A row's iteration order (the cheap pattern-
-  // identity check) and a_scatter_ the permuted column each value lands in.
-  std::vector<std::size_t> a_row_ptr_;
-  std::vector<std::size_t> a_cols_;
+  // A as the last successful factor() saw it: its row offsets and entries
+  // in A's own flat row-major order (a_entries_' values are those of the
+  // last refactorization, and describe the cached factors only while
+  // holds_ is set), and the permuted column each entry scatters to.
+  std::vector<std::size_t> a_offsets_;
+  std::vector<SparseMatrix::Entry> a_entries_;
   std::vector<std::size_t> a_scatter_;
-  std::size_t a_nnz_ = 0;
-  // A's values in a_cols_ order as the last refactorization read them; they
-  // describe the cached factors only while holds_ is set.
-  std::vector<double> a_vals_;
   bool holds_ = false;
 
   std::vector<double> work_;  ///< dense accumulator, zero between rows

@@ -19,16 +19,18 @@ auto find_col(Row& row, std::size_t c) {
 }  // namespace
 
 void SparseMatrix::reset(std::size_t n) {
-  rows_.assign(n, {});
+  entries_.clear();
+  offsets_.assign(n + 1, 0);
+  rows_.clear();
+  flat_ = true;
   tape_.clear();
   cursor_ = 0;
   taped_ = replaying_ = recording_ = departed_ = false;
 }
 
 void SparseMatrix::begin_load() {
-  for (auto& row : rows_) {
-    for (auto& e : row) e.value = 0.0;
-  }
+  if (!flat_) pack();
+  for (Entry& e : entries_) e.value = 0.0;
   cursor_ = 0;
   departed_ = false;
   replaying_ = taped_;
@@ -56,12 +58,14 @@ bool SparseMatrix::end_load() {
     tape_.resize(cursor_);
     recording_ = departed_ = true;
   }
+  if (!flat_) pack();
   if (recording_) {
-    // Entry positions are resolved only now: insertions during the load
-    // shift the positions of later columns in their row.
+    // Positions are resolved only now, in the packed array: insertions
+    // during the load shift every later entry.
     for (Stamp& s : tape_) {
-      const auto& row = rows_[s.row];
-      s.pos = static_cast<std::uint32_t>(find_col(row, s.col) - row.begin());
+      const auto r = row(s.row);
+      const auto at = static_cast<std::size_t>(find_col(r, s.col) - r.begin());
+      s.pos = static_cast<std::uint32_t>(offsets_[s.row] + at);
     }
     taped_ = true;
   }
@@ -70,24 +74,48 @@ bool SparseMatrix::end_load() {
 }
 
 SparseMatrix::Entry& SparseMatrix::entry(std::size_t r, std::size_t c) {
-  auto& row = rows_[r];
-  const auto at = find_col(row, c);
-  if (at != row.end() && at->col == c) return *at;
-  // A new entry shifts the recorded positions of its row: outside a
+  const auto current = row(r);
+  const auto at = find_col(current, c);
+  // row() views this object's own, non-const entries.
+  if (at != current.end() && at->col == c) return const_cast<Entry&>(*at);
+  if (flat_) unpack();
+  // A new entry shifts the recorded positions after it: outside a
   // recording load that voids the tape.
   if (!recording_) taped_ = replaying_ = false;
-  return *row.insert(at, Entry{c, 0.0});
+  auto& unpacked = rows_[r];
+  return *unpacked.insert(find_col(unpacked, c), Entry{c, 0.0});
+}
+
+void SparseMatrix::unpack() {
+  rows_.resize(size());
+  for (std::size_t r = 0; r < size(); ++r) {
+    rows_[r].assign(row(r).begin(), row(r).end());
+  }
+  entries_.clear();
+  flat_ = false;
+}
+
+void SparseMatrix::pack() {
+  entries_.clear();
+  entries_.reserve(nonzeros());
+  for (std::size_t r = 0; r < size(); ++r) {
+    entries_.insert(entries_.end(), rows_[r].begin(), rows_[r].end());
+    offsets_[r + 1] = entries_.size();
+  }
+  rows_.clear();
+  flat_ = true;
 }
 
 double SparseMatrix::get(std::size_t r, std::size_t c) const {
-  const auto& row = rows_[r];
-  const auto it = find_col(row, c);
-  return it != row.end() && it->col == c ? it->value : 0.0;
+  const auto in_row = row(r);
+  const auto it = find_col(in_row, c);
+  return it != in_row.end() && it->col == c ? it->value : 0.0;
 }
 
 std::size_t SparseMatrix::nonzeros() const noexcept {
+  if (flat_) return entries_.size();
   std::size_t n = 0;
-  for (const auto& row : rows_) n += row.size();
+  for (const auto& r : rows_) n += r.size();
   return n;
 }
 
@@ -101,7 +129,7 @@ void SparseMatrix::to_dense_into(DenseMatrix& out) const {
   out.resize(size(), size());
   out.set_zero();
   for (std::size_t r = 0; r < size(); ++r) {
-    for (const auto& [c, v] : rows_[r]) out(r, c) = v;
+    for (const auto& [c, v] : row(r)) out(r, c) = v;
   }
 }
 
@@ -110,7 +138,7 @@ std::vector<double> SparseMatrix::multiply(const std::vector<double>& x) const {
   std::vector<double> y(size(), 0.0);
   for (std::size_t r = 0; r < size(); ++r) {
     double acc = 0.0;
-    for (const auto& [c, v] : rows_[r]) acc += v * x[c];
+    for (const auto& [c, v] : row(r)) acc += v * x[c];
     y[r] = acc;
   }
   return y;

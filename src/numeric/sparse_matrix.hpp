@@ -1,13 +1,18 @@
 // Sparse square matrix: the one MNA Jacobian store, shared by the scalar
 // Newton loop and the batched lockstep engine.
 //
-// Each row keeps its entries in ascending column order in a flat array.
-// Every entry starts at +0.0 and every stamp is an add, so each (row, col)
-// is its stamps summed in call order (a lone -0.0 stamp reads +0.0).
+// Each row keeps its entries in ascending column order. Every entry starts
+// at +0.0 and every stamp is an add, so each (row, col) is its stamps
+// summed in call order (a lone -0.0 stamp reads +0.0).
+//
+// Storage. After a load the entries sit in one flat row-major array with
+// row offsets (flat()). A new (row, col), in a load or outside one, first
+// moves them out into per-row vectors, one sorted insert per new entry,
+// until the next begin_load() or end_load() packs them again.
 //
 // Stamp tape. A load brackets its stamps with begin_load()/end_load(). The
 // first complete load records its (row, col) sequence; a load repeating it
-// replays the recorded entry positions, one array add per stamp. A load that
+// replays the recorded flat positions, one array add per stamp. A load that
 // departs from the tape (a device changing its stamp pattern mid-run)
 // searches and inserts from that stamp on: its sums stay exact, the pattern
 // grows, end_load() returns false once, and the new sequence becomes the
@@ -30,13 +35,15 @@ class SparseMatrix {
     double value = 0.0;
   };
 
-  SparseMatrix() = default;
+  SparseMatrix() : SparseMatrix(0) {}
   explicit SparseMatrix(std::size_t n) { reset(n); }
 
   /// Start over for an n-unknown system: drops the pattern and the tape.
   void reset(std::size_t n);
 
-  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets_.size() - 1;
+  }
 
   /// Begin one load: zero every value, keep the pattern, and replay the
   /// tape if a complete one is recorded (record one otherwise).
@@ -48,7 +55,7 @@ class SparseMatrix {
     if (replaying_ && cursor_ < tape_.size()) {
       const Stamp& s = tape_[cursor_];
       if (s.row == r && s.col == c) {
-        rows_[r][s.pos].value += value;
+        entries_[s.pos].value += value;
         ++cursor_;
         return;
       }
@@ -69,7 +76,16 @@ class SparseMatrix {
 
   /// Row r's entries in ascending column order.
   [[nodiscard]] std::span<const Entry> row(std::size_t r) const {
-    return rows_[r];
+    if (!flat_) return rows_[r];
+    return {entries_.data() + offsets_[r], offsets_[r + 1] - offsets_[r]};
+  }
+
+  /// True when every entry sits in entries(), row r at
+  /// [offsets()[r], offsets()[r + 1]); false while stamps wait in rows.
+  [[nodiscard]] bool flat() const noexcept { return flat_; }
+  [[nodiscard]] std::span<const Entry> entries() const { return entries_; }
+  [[nodiscard]] std::span<const std::size_t> offsets() const {
+    return offsets_;
   }
 
   [[nodiscard]] std::size_t nonzeros() const noexcept;
@@ -83,7 +99,7 @@ class SparseMatrix {
   [[nodiscard]] std::vector<double> multiply(const std::vector<double>& x) const;
 
  private:
-  /// One recorded stamp: its (row, col) and the entry's index in the row.
+  /// One recorded stamp: its (row, col) and the entry's flat position.
   struct Stamp {
     std::uint32_t row = 0;
     std::uint32_t col = 0;
@@ -93,8 +109,14 @@ class SparseMatrix {
   void add_searched(std::size_t r, std::size_t c, double value);
   /// The entry at (r, c), inserted at +0.0 if absent.
   Entry& entry(std::size_t r, std::size_t c);
+  /// Move the flat entries out into per-row vectors, and back.
+  void unpack();
+  void pack();
 
-  std::vector<std::vector<Entry>> rows_;
+  std::vector<Entry> entries_;            // flat: every row, in row order
+  std::vector<std::size_t> offsets_;      // n + 1 row offsets into entries_
+  std::vector<std::vector<Entry>> rows_;  // unpacked: one vector per row
+  bool flat_ = true;
   std::vector<Stamp> tape_;
   std::size_t cursor_ = 0;  // next tape stamp of the load in flight
   bool taped_ = false;      // tape_ holds a complete load

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,6 +19,16 @@ namespace softfet::sim {
 /// Dense node identifier; ground is kGroundNode.
 using NodeId = int;
 inline constexpr NodeId kGroundNode = 0;
+
+/// The devices whose type overrides each per-step hook, in insertion order:
+/// Device's defaults are no-ops, so the engine calls a hook only on its list.
+struct StepHooks {
+  std::vector<Device*> max_timestep;
+  std::vector<Device*> next_breakpoint;
+  std::vector<Device*> event_time;
+  std::vector<Device*> accept_step;
+  std::vector<Device*> probes;  ///< probes() or probe_values()
+};
 
 class Circuit {
  public:
@@ -47,9 +58,25 @@ class Circuit {
     auto device = std::make_unique<T>(std::forward<Args>(args)...);
     T* raw = device.get();
     devices_.push_back(std::move(device));
+    // T keeps Device's `hook` when &T::hook has Device's member type. A
+    // hook T cannot name here (not public) counts as its own.
+#define SOFTFET_OWN(hook)                                                 \
+  !requires {                                                             \
+    requires std::is_same_v<decltype(&T::hook), decltype(&Device::hook)>; \
+  }
+    if (SOFTFET_OWN(max_timestep)) hooks_.max_timestep.push_back(raw);
+    if (SOFTFET_OWN(next_breakpoint)) hooks_.next_breakpoint.push_back(raw);
+    if (SOFTFET_OWN(event_time)) hooks_.event_time.push_back(raw);
+    if (SOFTFET_OWN(accept_step)) hooks_.accept_step.push_back(raw);
+    if (SOFTFET_OWN(probes) || SOFTFET_OWN(probe_values)) {
+      hooks_.probes.push_back(raw);
+    }
+#undef SOFTFET_OWN
     prepared_ = false;
     return raw;
   }
+
+  [[nodiscard]] const StepHooks& hooks() const noexcept { return hooks_; }
 
   [[nodiscard]] const std::vector<std::unique_ptr<Device>>& devices() const {
     return devices_;
@@ -87,6 +114,7 @@ class Circuit {
   std::vector<std::string> node_names_;  // index = NodeId, [0] = "0"
   std::unordered_map<std::string, NodeId> node_index_;
   std::vector<std::unique_ptr<Device>> devices_;
+  StepHooks hooks_;
   std::vector<std::string> unknown_labels_;
   std::size_t branch_count_ = 0;
   bool prepared_ = false;

@@ -82,7 +82,7 @@ int solve_dc(Circuit& circuit, const SimOptions& options,
 
 std::vector<std::string> signal_names(const Circuit& circuit) {
   std::vector<std::string> names = circuit.unknown_labels();
-  for (const auto& device : circuit.devices()) {
+  for (const Device* device : circuit.hooks().probes) {
     for (const auto& [probe_name, value] : device->probes()) {
       (void)value;
       names.push_back(probe_name);
@@ -94,7 +94,7 @@ std::vector<std::string> signal_names(const Circuit& circuit) {
 void sample_row_into(const Circuit& circuit, const std::vector<double>& x,
                      std::vector<double>& row) {
   row.assign(x.begin(), x.end());
-  for (const auto& device : circuit.devices()) {
+  for (const Device* device : circuit.hooks().probes) {
     device->probe_values(row);
   }
 }

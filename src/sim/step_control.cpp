@@ -135,7 +135,7 @@ void TransientLane::begin_step() {
 
   // Clamp dt: device caps, global max, remaining span.
   double device_cap = kNeverTime;
-  for (const auto& device : circuit.devices()) {
+  for (const Device* device : circuit.hooks().max_timestep) {
     device_cap = std::min(device_cap, device->max_timestep());
   }
   dt = std::min({dt, device_cap, dtmax, tstop - t});
@@ -143,7 +143,7 @@ void TransientLane::begin_step() {
 
   // Land exactly on the next source breakpoint if it falls inside.
   double breakpoint = kNeverTime;
-  for (const auto& device : circuit.devices()) {
+  for (const Device* device : circuit.hooks().next_breakpoint) {
     breakpoint = std::min(breakpoint, device->next_breakpoint(t));
   }
   if (breakpoint > t && breakpoint < t + dt) {
@@ -385,7 +385,7 @@ void TransientLane::accept_or_cut(int solve_iterations, bool recovered) {
 
   // Discrete device events strictly inside the step: cut the step there.
   double event_at = kNeverTime;
-  for (const auto& device : circuit.devices()) {
+  for (const Device* device : circuit.hooks().event_time) {
     event_at = std::min(event_at, device->event_time(x_new, t, t + dt));
   }
   const bool event_on_boundary =
@@ -423,7 +423,7 @@ void TransientLane::accept_or_cut(int solve_iterations, bool recovered) {
   }
 
   // Accept.
-  for (const auto& device : circuit.devices()) {
+  for (Device* device : circuit.hooks().accept_step) {
     device->accept_step(x_new, ctx);
   }
   t_prev = t;

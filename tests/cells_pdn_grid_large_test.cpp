@@ -2,17 +2,26 @@
 // preconditioned-iterative policy on a grid big enough for ordering and
 // the Krylov path to engage. Registered with the `grid-large` ctest label
 // and a long timeout in tests/CMakeLists.txt; sanitizer CI excludes the
-// label so instrumented runs stay bounded.
+// label so instrumented runs stay bounded. The AMD oracle's largest
+// patterns live here for the same reason.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "amd_oracle.hpp"
 #include "cells/pdn.hpp"
 #include "devices/sources.hpp"
 #include "measure/metrics.hpp"
 #include "measure/waveform.hpp"
+#include "numeric/ordering.hpp"
+#include "numeric/sparse_matrix.hpp"
 #include "sim/analyses.hpp"
+#include "sim/stamper.hpp"
 
 namespace sc = softfet::cells;
 namespace sd = softfet::devices;
+namespace sn = softfet::numeric;
 namespace ss = softfet::sim;
 using softfet::measure::Waveform;
 
@@ -60,5 +69,67 @@ TEST(PdnGridLarge, IterativePolicyMatchesDirectOnMesh) {
   for (int i = 1; i <= 20; ++i) {
     const double t = 4e-9 * i / 20.0;
     EXPECT_NEAR(rail_i.value(t), rail_d.value(t), 1e-6) << "t=" << t;
+  }
+}
+
+namespace {
+
+/// amd_order against the reference on `a`'s symmetrized pattern.
+void expect_amd_oracle_match(const sn::SparseMatrix& a,
+                             const std::string& what) {
+  EXPECT_EQ(sn::amd_order(a), amd_oracle::amd_order(sn::pattern_adjacency(a)))
+      << what;
+}
+
+/// The Jacobian of a side x side make_pdn_grid mesh at x = 0 under `ctx`.
+sn::SparseMatrix pdn_jacobian(std::size_t side, const ss::LoadContext& ctx) {
+  ss::Circuit c;
+  (void)sc::make_pdn_grid(
+      c, "pdn",
+      sc::PdnGridParams::from_lumped(sc::PdnParams::zhang_islped13(), side,
+                                     side));
+  c.prepare();
+  const std::vector<double> x(c.unknown_count(), 0.0);
+  std::vector<double> residual(x.size(), 0.0);
+  sn::SparseMatrix jacobian(x.size());
+  ss::Stamper stamper(jacobian, residual);
+  jacobian.begin_load();
+  for (const auto& device : c.devices()) {
+    if (ctx.mode == ss::AnalysisMode::kTransient) device->init_state(x);
+    device->load(x, stamper, ctx);
+  }
+  EXPECT_TRUE(jacobian.end_load());
+  return jacobian;
+}
+
+}  // namespace
+
+TEST(AmdOracleLarge, Mesh64MatchesReference) {
+  constexpr std::size_t kSide = 64;
+  sn::SparseMatrix a(kSide * kSide);
+  for (std::size_t i = 0; i < kSide * kSide; ++i) {
+    a.add(i, i, 4.0);
+    if (i % kSide + 1 < kSide) {
+      a.add(i, i + 1, -1.0);
+      a.add(i + 1, i, -1.0);
+    }
+    if (i + kSide < kSide * kSide) {
+      a.add(i, i + kSide, -1.0);
+      a.add(i + kSide, i, -1.0);
+    }
+  }
+  expect_amd_oracle_match(a, "64x64 laplacian");
+}
+
+TEST(AmdOracleLarge, PdnJacobiansMatchReference) {
+  ss::LoadContext dc;
+  ss::LoadContext tran;
+  tran.mode = ss::AnalysisMode::kTransient;
+  tran.method = ss::IntegrationMethod::kTrapezoidal;
+  tran.dt = tran.time = 1e-12;
+  for (const std::size_t side : {16u, 64u}) {
+    const std::string name = std::to_string(side) + "x" + std::to_string(side);
+    expect_amd_oracle_match(pdn_jacobian(side, dc), name + " pdn dc");
+    expect_amd_oracle_match(pdn_jacobian(side, tran), name + " pdn tran");
   }
 }

@@ -2,7 +2,9 @@
 // fill win on mesh patterns, and solve correctness under reordering — which
 // SparseLu applies from kAutoOrderingThreshold unknowns on and never below.
 // Plus the pivot-order oracle: SparseLu's left-looking analysis against a
-// right-looking row-scan elimination, bit for bit.
+// right-looking row-scan elimination, bit for bit; and the AMD oracle:
+// amd_order's flat quotient graph against the reference implementation
+// (amd_oracle.hpp), permutation for permutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "amd_oracle.hpp"
 #include "cells/pdn.hpp"
+#include "netlist/elaborate.hpp"
 #include "numeric/ordering.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
@@ -742,4 +746,186 @@ TEST(PivotOracle, AmdSingularAtTheLastColumnReportsItsOriginalIndex) {
   }
   EXPECT_EQ(expect_oracle_match(a, "amd last column"), q.back());
   EXPECT_NE(q.back(), n - 1);  // the permutation matters here
+}
+
+namespace {
+
+/// amd_order against the reference on `a`'s symmetrized pattern.
+void expect_amd_oracle_match(const sn::SparseMatrix& a,
+                             const std::string& what) {
+  EXPECT_EQ(sn::amd_order(a), amd_oracle::amd_order(sn::pattern_adjacency(a)))
+      << what;
+}
+
+/// 5-point Laplacian pattern of a side x side mesh.
+sn::SparseMatrix laplacian_mesh(std::size_t side) {
+  sn::SparseMatrix a(side * side);
+  for (std::size_t i = 0; i < side * side; ++i) {
+    a.add(i, i, 4.0);
+    if (i % side + 1 < side) {
+      a.add(i, i + 1, -1.0);
+      a.add(i + 1, i, -1.0);
+    }
+    if (i + side < side * side) {
+      a.add(i, i + side, -1.0);
+      a.add(i + side, i, -1.0);
+    }
+  }
+  return a;
+}
+
+/// The Jacobian pattern of `c` at x = 0 under `ctx`, stamped through
+/// sim::Stamper in one bracketed load.
+sn::SparseMatrix stamped_jacobian(ss::Circuit& c, const ss::LoadContext& ctx) {
+  c.prepare();
+  const std::vector<double> x(c.unknown_count(), 0.0);
+  std::vector<double> residual(x.size(), 0.0);
+  sn::SparseMatrix jacobian(x.size());
+  ss::Stamper stamper(jacobian, residual);
+  jacobian.begin_load();
+  for (const auto& device : c.devices()) {
+    if (ctx.mode == ss::AnalysisMode::kTransient) device->init_state(x);
+    device->load(x, stamper, ctx);
+  }
+  EXPECT_TRUE(jacobian.end_load());
+  return jacobian;
+}
+
+/// MNA shape: random two-terminal conductances among `nodes` node rows,
+/// plus `branches` voltage-defined branch rows, each tying two nodes with
+/// +-1 entries and no diagonal of its own. Some nodes are reached only
+/// through branches, so their rows lack a diagonal too.
+sn::SparseMatrix mna_shape(std::size_t nodes, std::size_t branches,
+                           std::mt19937& rng) {
+  std::uniform_int_distribution<std::size_t> pick(0, nodes - 1);
+  sn::SparseMatrix a(nodes + branches);
+  for (std::size_t k = 0; k < nodes; ++k) {
+    const std::size_t u = pick(rng);
+    const std::size_t v = pick(rng);
+    if (u % 5 == 0 || v % 5 == 0) continue;  // branch-only nodes
+    a.add(u, u, 1.0);
+    a.add(v, v, 1.0);
+    if (u != v) {
+      a.add(u, v, -1.0);
+      a.add(v, u, -1.0);
+    }
+  }
+  for (std::size_t b = 0; b < branches; ++b) {
+    const std::size_t row = nodes + b;
+    for (const std::size_t node : {pick(rng), pick(rng)}) {
+      a.add(node, row, 1.0);
+      a.add(row, node, 1.0);
+    }
+  }
+  return a;
+}
+
+/// Unsymmetric random pattern: `per_row` entries a row on average, a
+/// diagonal only where `diagonal_every` divides the row, and a few dense
+/// rows and columns (hubs) when `hubs` is set.
+sn::SparseMatrix unsymmetric_pattern(std::size_t n, std::size_t per_row,
+                                     std::size_t diagonal_every, bool hubs,
+                                     std::mt19937& rng) {
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  sn::SparseMatrix a(n);
+  for (std::size_t k = 0; k < per_row * n; ++k) {
+    a.set(pick(rng), pick(rng), 1.0);
+  }
+  for (std::size_t i = 0; i < n; i += diagonal_every) a.set(i, i, 1.0);
+  if (hubs) {
+    for (std::size_t h = 0; h < 3; ++h) {
+      const std::size_t hub = pick(rng);
+      for (std::size_t i = 0; i < n; i += 2) a.set(hub, i, 1.0);
+      for (std::size_t i = 1; i < n; i += 3) a.set(i, hub, 1.0);
+    }
+  }
+  return a;
+}
+
+}  // namespace
+
+TEST(AmdOracle, MeshesMatchReference) {
+  for (std::size_t side = 8; side <= 32; ++side) {
+    expect_amd_oracle_match(laplacian_mesh(side),
+                            "laplacian " + std::to_string(side));
+    expect_amd_oracle_match(grid_system(side),
+                            "rail mesh " + std::to_string(side));
+  }
+}
+
+TEST(AmdOracle, ZeroDiagonalMnaShapesMatchReference) {
+  std::mt19937 rng(2718);
+  for (const std::size_t nodes : {10u, 60u, 150u, 400u}) {
+    for (const std::size_t branches : {std::size_t{1}, nodes / 8, nodes / 2}) {
+      for (int draw = 0; draw < 3; ++draw) {
+        const auto a = mna_shape(nodes, branches, rng);
+        std::size_t no_diagonal = 0;
+        for (std::size_t r = 0; r < a.size(); ++r) {
+          if (!has_entry(a, r, r)) ++no_diagonal;
+        }
+        EXPECT_GE(no_diagonal, branches);
+        expect_amd_oracle_match(a, "mna " + std::to_string(nodes) + "+" +
+                                       std::to_string(branches));
+      }
+    }
+  }
+  // The 16x16 mesh PDN's own DC and transient Jacobians.
+  ss::LoadContext dc;
+  expect_amd_oracle_match(pdn_jacobian(dc), "pdn dc");
+  ss::LoadContext tran;
+  tran.mode = ss::AnalysisMode::kTransient;
+  tran.method = ss::IntegrationMethod::kTrapezoidal;
+  tran.dt = tran.time = 1e-12;
+  expect_amd_oracle_match(pdn_jacobian(tran), "pdn tran");
+}
+
+TEST(AmdOracle, BankDeckMatchesReference) {
+  // A bank of Soft-FET inverters on shared bondwires, the shape of the
+  // service benchmark's bank deck: PTM, MOSFET, inductor and source rows.
+  std::string text =
+      "inverter bank\n"
+      ".model vo2 ptm rins=500k rmet=5k vimt=0.4 vmit=0.3 tptm=10p\n"
+      ".model nch nmos\n.model pch pmos\n"
+      "Vdd vddp 0 1\nLbv vddp vddb 1n\nRbv vddb vdd 0.1\n"
+      "Lbg vssi vssb 1n\nRbg vssb 0 0.1\nCdec vdd vssi 20f\n"
+      "Vin in 0 PWL(0 1 100p 1 130p 0)\n";
+  for (int k = 0; k < 8; ++k) {
+    const std::string i = std::to_string(k);
+    text.append("P" + i + " in g" + i + " vo2\n")
+        .append("MP" + i + " o" + i + " g" + i + " vdd vdd pch W=240n L=40n\n")
+        .append("MN" + i + " o" + i + " g" + i +
+                " vssi vssi nch W=120n L=40n\n")
+        .append("C" + i + " o" + i + " vssi 2f\n");
+  }
+  text.append(".tran 1p 1n\n.end\n");
+  auto net = softfet::netlist::compile_netlist(text);
+  ss::LoadContext dc;
+  const auto op = stamped_jacobian(*net.circuit, dc);
+  EXPECT_GT(op.size(), 16u);
+  expect_amd_oracle_match(op, "bank dc");
+  ss::LoadContext tran;
+  tran.mode = ss::AnalysisMode::kTransient;
+  tran.method = ss::IntegrationMethod::kTrapezoidal;
+  tran.dt = tran.time = 1e-12;
+  expect_amd_oracle_match(stamped_jacobian(*net.circuit, tran), "bank tran");
+}
+
+TEST(AmdOracle, SeededUnsymmetricPatternsMatchReference) {
+  for (unsigned seed = 0; seed < 240; ++seed) {
+    std::mt19937 rng(seed);
+    const std::size_t n = 1 + seed % 7 * 41 + seed % 13;
+    const std::size_t per_row = 1 + seed % 6;
+    const std::size_t diagonal_every = 1 + seed % 4;
+    const bool hubs = seed % 5 == 0;
+    expect_amd_oracle_match(
+        unsymmetric_pattern(n, per_row, diagonal_every, hubs, rng),
+        "seed " + std::to_string(seed) + ", n " + std::to_string(n));
+  }
+  // Degenerate shapes: empty, a lone node, isolated nodes, a star.
+  expect_amd_oracle_match(sn::SparseMatrix(0), "empty");
+  expect_amd_oracle_match(sn::SparseMatrix(1), "one node");
+  expect_amd_oracle_match(sn::SparseMatrix(5), "five isolated nodes");
+  sn::SparseMatrix star(50);
+  for (std::size_t i = 1; i < 50; ++i) star.set(0, i, 1.0);
+  expect_amd_oracle_match(star, "star");
 }

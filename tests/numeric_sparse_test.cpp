@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <utility>
@@ -504,4 +506,97 @@ TEST(ValueReuse, DensePathAlwaysFactors) {
   for (int call = 0; call < 3; ++call) (void)solver.solve(a, b);
   EXPECT_EQ(solver.stats().value_reuses, 0u);
   EXPECT_EQ(solver.stats().direct_solves, 3u);
+}
+
+namespace {
+
+/// Row-order stamps of mesh_system(side).
+std::vector<Stamp> mesh_stamps(std::size_t side) {
+  const auto a = mesh_system(side);
+  std::vector<Stamp> stamps;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (const auto& [c, v] : a.row(r)) stamps.push_back({r, c, v});
+  }
+  return stamps;
+}
+
+/// 20 unknowns: a 4.0 diagonal plus row 0 entries at columns 3 (`zero`) and
+/// 19 (the NaN with payload bits `nan_bits`). Nothing sits below the
+/// diagonal, so no row reads row 0's U and the NaN factors cleanly.
+/// `packed`: stamped in a bracketed load (flat) rather than built by hand.
+sn::SparseMatrix upper_row_system(double zero, std::uint64_t nan_bits,
+                                  bool packed) {
+  sn::SparseMatrix a(20);
+  if (packed) a.begin_load();
+  for (std::size_t i = 0; i < 20; ++i) a.add(i, i, 4.0);
+  a.add(0, 3, 0.0);
+  a.add(0, 19, 0.0);
+  if (packed) {
+    EXPECT_TRUE(a.end_load());
+  }
+  EXPECT_EQ(a.flat(), packed);
+  a.set(0, 3, zero);
+  a.set(0, 19, std::bit_cast<double>(nan_bits));
+  return a;
+}
+
+}  // namespace
+
+TEST(FlatStore, DepartureAfterPackingGrowsPatternAndReanalyzes) {
+  const auto stamps = mesh_stamps(5);
+  auto grown = stamps;
+  grown.insert(grown.begin() + 10, Stamp{0, 24, 0.5});  // new entry
+  sn::SparseMatrix a(25);
+  ASSERT_TRUE(load(a, stamps));
+  ASSERT_TRUE(a.flat());
+  const std::size_t before = a.nonzeros();
+  sn::SparseLu lu(a);
+  lu.factor(a);
+  ASSERT_TRUE(lu.holds(a));
+
+  EXPECT_FALSE(load(a, grown));
+  EXPECT_TRUE(a.flat());
+  EXPECT_EQ(a.nonzeros(), before + 1);
+  sn::SparseMatrix fresh(25);
+  ASSERT_TRUE(load(fresh, grown));
+  expect_bitwise_equal(a, fresh);
+  EXPECT_FALSE(lu.holds(a));
+  lu.factor(a);
+  EXPECT_EQ(lu.analyze_count(), 2u);
+  EXPECT_TRUE(load(a, grown));  // the grown load is the tape now
+  lu.factor(a);
+  EXPECT_EQ(lu.analyze_count(), 2u);
+  EXPECT_EQ(lu.refactor_count(), 2u);
+  EXPECT_TRUE(lu.holds(fresh));
+}
+
+TEST(FlatStore, HoldsComparesBitsAcrossMatrixObjects) {
+  constexpr std::uint64_t kNan = 0x7ff8000000000001;
+  constexpr std::uint64_t kOtherNan = 0x7ff8000000000002;
+  const auto a = upper_row_system(0.0, kNan, true);
+  sn::SparseLu lu(a);
+  lu.factor(a);  // a refactor, which holds() vouches for
+  ASSERT_EQ(lu.refactor_count(), 1u);
+  for (const bool packed : {true, false}) {
+    EXPECT_TRUE(lu.holds(upper_row_system(0.0, kNan, packed))) << packed;
+    EXPECT_FALSE(lu.holds(upper_row_system(-0.0, kNan, packed))) << packed;
+    EXPECT_FALSE(lu.holds(upper_row_system(0.0, kOtherNan, packed)))
+        << packed;
+  }
+}
+
+TEST(FlatStore, LoadsWithoutEndLoadSumLikeATapedLoad) {
+  // Repeated begin_load() with no end_load() never records a tape: every
+  // stamp takes the searched path, into the packed array from the second
+  // load on.
+  sn::SparseMatrix searched(3);
+  for (int pass = 0; pass < 3; ++pass) {
+    searched.begin_load();
+    for (const Stamp& s : kTape) searched.add(s.r, s.c, s.v);
+  }
+  EXPECT_TRUE(searched.flat());
+  sn::SparseMatrix taped(3);
+  ASSERT_TRUE(load(taped, kTape));
+  ASSERT_TRUE(load(taped, kTape));  // replays
+  expect_bitwise_equal(searched, taped);
 }
