@@ -11,6 +11,8 @@
 // requests a cooperative stop (in-flight points finish, checkpoints flush,
 // exit 130/143); a second signal hard-exits. --timeout bounds each wall
 // clock; timed-out points are recorded as failures and skipped in the CSV.
+// --determinism only labels the run and its checkpoint tag: both modes run
+// the bitwise engine, so the CSV is the same either way.
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -132,7 +132,7 @@ std::vector<std::optional<FailureRecord>> run_points(
   std::vector<char> done(count, 0);
   if (use_checkpoint) {
     // The tag also pins the determinism mode; a strict<->relaxed resume is
-    // refused with a mode-specific error instead of mixing rounding regimes.
+    // refused with a mode-specific error instead of mixing contracts.
     checkpoint = load_checkpoint_for_mode(checkpoint_spec.path, study.tag,
                                           options.determinism,
                                           count + first_slot);
@@ -194,10 +194,11 @@ std::vector<std::optional<FailureRecord>> run_points(
     }
   };
 
-  // Resolve the lane knob: 0 = auto. Budgeted runs (wall-clock/step caps)
-  // stay scalar because the batch cannot replicate per-lane truncation.
-  const int knob =
-      study.lanes == 0 ? study.auto_lanes : std::max(study.lanes, 1);
+  // Resolve the lane knob: 0 = auto, 8 lanes (wider only grows the working
+  // set). Budgeted runs (wall-clock/step caps) stay scalar because the
+  // batch cannot replicate per-lane truncation.
+  constexpr int kAutoLanes = 8;
+  const int knob = study.lanes == 0 ? kAutoLanes : std::max(study.lanes, 1);
   const std::size_t width =
       knob > 1 && sim::batch_transient_supported(options)
           ? static_cast<std::size_t>(knob)

@@ -36,7 +36,7 @@ struct CheckpointSpec {
 /// Append the determinism-mode marker to a checkpoint tag. kBitwise leaves
 /// the tag untouched so every checkpoint written before the mode existed
 /// stays resumable; kRelaxedUlp appends " det=relaxed" so a file is pinned
-/// to the rounding regime that produced it and strict<->relaxed mixing is
+/// to the contract it was written under and strict<->relaxed mixing is
 /// structurally impossible.
 [[nodiscard]] std::string tag_for_mode(std::string tag, sim::Determinism mode);
 
@@ -70,10 +70,9 @@ struct PointStudy {
   const char* who = "";   ///< study name, prefixes the cancel message
   std::string tag;        ///< checkpoint tag, before the determinism marker
   std::size_t points = 0;
-  /// Lane width: 0 = `auto_lanes`, 1 = the scalar oracle, K > 1 = K-lane
+  /// Lane width: 0 = auto (8 lanes), 1 = the scalar oracle, K > 1 = K-lane
   /// blocks. Options the batch engine does not support run scalar.
   int lanes = 0;
-  int auto_lanes = 8;
   std::size_t threads = 0;  ///< parallel_for workers, 0 = all hardware
   /// Point i's spec. Throws softfet::Error when the point has no valid spec
   /// (an impossible draw); the driver then runs it on the scalar path, where

@@ -49,14 +49,11 @@ std::vector<DesignSpacePoint> sweep_vimt_vmit(
   for (std::size_t i = 0; i < v_mit.size(); ++i) {
     tag += (i == 0 ? "" : ",") + encode_double(v_mit[i]);
   }
-  // Auto width is 8 lanes in both determinism modes: unlike
-  // ptm_monte_carlo it does not widen to 16 under kRelaxedUlp.
   auto failures = run_points(
       {.who = "sweep_vimt_vmit",
        .tag = std::move(tag),
        .points = points.size(),
        .lanes = lanes,
-       .auto_lanes = 8,
        .make_spec =
            [&](std::size_t i) {
              auto spec = base;

@@ -33,12 +33,10 @@ struct DesignSpacePoint {
 /// `metrics.tran` waveforms. The file's tag binds it to this exact grid.
 ///
 /// `lanes` selects the batched lockstep transient engine: 0 = auto (8-lane
-/// blocks in both determinism modes, whenever the engine supports
-/// `options`), 1 = the scalar oracle path, K > 1 = explicit block width.
-/// Evicted lanes transparently rerun on the scalar path. Under the default
-/// sim::Determinism::kBitwise, results and checkpoint payloads are bitwise
-/// identical for every setting; under kRelaxedUlp batched lanes agree with
-/// the scalar oracle only to the documented ULP bounds.
+/// blocks, whenever the engine supports `options`), 1 = the scalar oracle
+/// path, K > 1 = explicit block width. Evicted lanes transparently rerun on
+/// the scalar path. Results and checkpoint payloads are bitwise identical
+/// for every setting, in both determinism modes.
 [[nodiscard]] std::vector<DesignSpacePoint> sweep_vimt_vmit(
     const cells::InverterTestbenchSpec& base, const std::vector<double>& v_imt,
     const std::vector<double>& v_mit, const sim::SimOptions& options = {},

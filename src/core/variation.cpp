@@ -157,12 +157,6 @@ MonteCarloStats ptm_monte_carlo(const cells::InverterTestbenchSpec& base,
     return spec;
   };
 
-  // Auto width is mode-dependent: 8 lanes saturate the bitwise engine
-  // (wider only grows the working set), but the relaxed SIMD device
-  // kernels keep paying past that — 16 lanes measure ~7% faster than 8 on
-  // the inverter study (EXPERIMENTS.md) before the working set wins again.
-  constexpr int kAutoLanes = 8;
-  constexpr int kAutoLanesRelaxed = 16;
   // Checkpoint slot 0 is the PTM-less baseline, slot k+1 is sample k. The
   // tag pins the file to this exact study so a stale file cannot
   // contaminate it.
@@ -175,9 +169,6 @@ MonteCarloStats ptm_monte_carlo(const cells::InverterTestbenchSpec& base,
               " sig_t=" + encode_double(mc.sigma_tptm),
        .points = sample_count,
        .lanes = mc.lanes,
-       .auto_lanes = options.determinism == sim::Determinism::kRelaxedUlp
-                         ? kAutoLanesRelaxed
-                         : kAutoLanes,
        .threads = static_cast<std::size_t>(std::max(mc.threads, 0)),
        .make_spec = make_spec,
        .label = [](std::size_t k) { return "sample " + std::to_string(k); },

@@ -48,18 +48,14 @@ struct MonteCarloSpec {
   /// impossible for the given sigma_* spreads.
   int max_draw_attempts = 100;
   /// Lane width for the batched lockstep transient engine: 0 = auto
-  /// (whenever the engine supports `options`: 8 lanes under
-  /// sim::Determinism::kBitwise, 16 under kRelaxedUlp), 1 = always the
+  /// (8 lanes, whenever the engine supports `options`), 1 = always the
   /// scalar oracle path, K > 1 = explicit width. Consecutive samples are
   /// grouped into K-lane blocks that share one batched factor/solve; a
   /// sample the engine evicts (cancel, failure at the minimum timestep,
   /// device-load throw) transparently reruns on the scalar path, while a
   /// lane the recovery ladder rescues stays in its block. Per-sample
-  /// results are bitwise identical for every setting under the default
-  /// sim::Determinism::kBitwise mode; under kRelaxedUlp (from the
-  /// SimOptions passed to ptm_monte_carlo) batched lanes use the SIMD
-  /// device kernels, whose results agree with the scalar oracle to the
-  /// documented ULP bounds rather than bitwise.
+  /// results are bitwise identical for every setting, in both determinism
+  /// modes.
   int lanes = 0;
   /// Test / instrumentation hook: called with the sample index and the
   /// fully drawn spec just before characterization (fault injection,

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "devices/common.hpp"
-#include "numeric/vecmath.hpp"
 
 namespace softfet::devices {
 
@@ -50,36 +49,6 @@ void Diode::load(const std::vector<double>& x, sim::Stamper& stamper,
   stamper.add_jacobian(ua_, uc_, -g);
   stamper.add_jacobian(uc_, ua_, -g);
   stamper.add_jacobian(uc_, uc_, g);
-}
-
-void Diode::load_lanes(sim::Device* const* peers,
-                       const sim::LaneLoadView* views, std::size_t m) {
-  thread_local std::vector<double> arg;
-  thread_local std::vector<double> e;
-  thread_local std::vector<double> de;
-  arg.resize(m);
-  e.resize(m);
-  de.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const Diode*>(peers[i]);
-    const auto& x = *views[i].x;
-    const double v = voltage_of(x, dev.ua_) - voltage_of(x, dev.uc_);
-    arg[i] = v / (dev.params_.emission * dev.params_.v_thermal);
-  }
-  numeric::vecmath::exp_capped_v(arg.data(), kExpCap, e.data(), de.data(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const Diode*>(peers[i]);
-    const double nvt = dev.params_.emission * dev.params_.v_thermal;
-    const double current = dev.params_.i_sat * (e[i] - 1.0);
-    const double g = dev.params_.i_sat * de[i] / nvt;
-    sim::Stamper& stamper = *views[i].stamper;
-    stamper.add_residual(dev.ua_, current);
-    stamper.add_residual(dev.uc_, -current);
-    stamper.add_jacobian(dev.ua_, dev.ua_, g);
-    stamper.add_jacobian(dev.ua_, dev.uc_, -g);
-    stamper.add_jacobian(dev.uc_, dev.ua_, -g);
-    stamper.add_jacobian(dev.uc_, dev.uc_, g);
-  }
 }
 
 void Diode::load_ac(const std::vector<double>& x_op, sim::AcStamper& ac,

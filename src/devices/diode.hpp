@@ -20,11 +20,6 @@ class Diode final : public sim::Device {
   void setup(sim::Circuit& circuit) override;
   void load(const std::vector<double>& x, sim::Stamper& stamper,
             const sim::LoadContext& ctx) override;
-  /// Relaxed-determinism batched evaluation with the numeric::vecmath
-  /// capped-exp kernel across all lanes (ULP-level difference vs load()).
-  [[nodiscard]] bool supports_lane_load() const override { return true; }
-  void load_lanes(sim::Device* const* peers, const sim::LaneLoadView* views,
-                  std::size_t m) override;
   void load_ac(const std::vector<double>& x_op, sim::AcStamper& ac,
                double omega) override;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "devices/common.hpp"
-#include "numeric/vecmath.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -31,16 +30,21 @@ namespace {
 // Smoothing temperature of the square-law cutoff softening [V].
 constexpr double kSmooth = 5e-3;
 
-/// Square-law arithmetic after the two softplus/logistic rounds. Shared by
-/// the scalar path (libm transcendentals) and the lane path (vecmath
-/// kernels) so the model algebra exists exactly once.
-[[nodiscard]] MosOperatingPoint square_law_from_kernels(
-    const MosfetModel& m, const MosfetDims& dims, double vds, double vov,
-    double dvov, double sp_b, double sg_b) {
+/// Smoothed Shichman-Hodges Level-1, forward mode (vds >= 0). Hard cutoffs
+/// are softened over a few mV so Newton sees continuous derivatives.
+[[nodiscard]] MosOperatingPoint evaluate_square_law(const MosfetModel& m,
+                                                    const MosfetDims& dims,
+                                                    double vgs, double vds) {
+  // Smooth overdrive: vov = softplus((vgs - vt0)/kSmooth)*kSmooth.
+  const double a = (vgs - m.vt0) / kSmooth;
+  const double vov = kSmooth * softplus(a);
+  const double dvov = logistic(a);
+  const double b = (vov - vds) / kSmooth;
   const double beta = m.kp * (dims.w / dims.l) * dims.m;
 
   // Smooth min(vds, vov): vdse = vov - kSmooth*softplus((vov - vds)/kSmooth).
-  const double vdse = vov - kSmooth * sp_b;
+  const double sg_b = logistic(b);
+  const double vdse = vov - kSmooth * softplus(b);
   const double dvdse_dvov = 1.0 - sg_b;
   const double dvdse_dvds = sg_b;
 
@@ -57,29 +61,20 @@ constexpr double kSmooth = 5e-3;
   return op;
 }
 
-/// Smoothed Shichman-Hodges Level-1, forward mode (vds >= 0). Hard cutoffs
-/// are softened over a few mV so Newton sees continuous derivatives.
-[[nodiscard]] MosOperatingPoint evaluate_square_law(const MosfetModel& m,
-                                                    const MosfetDims& dims,
-                                                    double vgs, double vds) {
-  // Smooth overdrive: vov = softplus((vgs - vt0)/kSmooth)*kSmooth.
-  const double a = (vgs - m.vt0) / kSmooth;
-  const double vov = kSmooth * softplus(a);
-  const double dvov = logistic(a);
-  const double b = (vov - vds) / kSmooth;
-  return square_law_from_kernels(m, dims, vds, vov, dvov, softplus(b),
-                                 logistic(b));
-}
-
-/// EKV arithmetic after the softplus/logistic evaluations of the forward
-/// (af) and reverse (ar) normalized overdrives. Shared by the scalar and
-/// lane paths like square_law_from_kernels.
-[[nodiscard]] MosOperatingPoint ekv_from_kernels(const MosfetModel& m,
+/// Forward-mode evaluation, requires vds >= 0.
+[[nodiscard]] MosOperatingPoint evaluate_forward(const MosfetModel& m,
                                                  const MosfetDims& dims,
-                                                 double vds, double lf,
-                                                 double lr, double sf,
-                                                 double sr) {
+                                                 double vgs, double vds) {
+  if (m.level == MosfetLevel::kSquareLaw) {
+    return evaluate_square_law(m, dims, vgs, vds);
+  }
   const double nvt2 = 2.0 * m.n * m.v_thermal;
+  const double af = (vgs - m.vt0) / nvt2;
+  const double ar = (vgs - m.vt0 - m.n * vds) / nvt2;
+  const double lf = softplus(af);
+  const double lr = softplus(ar);
+  const double sf = logistic(af);
+  const double sr = logistic(ar);
   const double i_s =
       2.0 * m.n * m.kp * (dims.w / dims.l) * dims.m * m.v_thermal * m.v_thermal;
 
@@ -102,57 +97,6 @@ constexpr double kSmooth = 5e-3;
   return op;
 }
 
-/// Forward-mode evaluation, requires vds >= 0.
-[[nodiscard]] MosOperatingPoint evaluate_forward(const MosfetModel& m,
-                                                 const MosfetDims& dims,
-                                                 double vgs, double vds) {
-  if (m.level == MosfetLevel::kSquareLaw) {
-    return evaluate_square_law(m, dims, vgs, vds);
-  }
-  const double nvt2 = 2.0 * m.n * m.v_thermal;
-  const double af = (vgs - m.vt0) / nvt2;
-  const double ar = (vgs - m.vt0 - m.n * vds) / nvt2;
-  return ekv_from_kernels(m, dims, vds, softplus(af), softplus(ar),
-                          logistic(af), logistic(ar));
-}
-
-/// NMOS-equivalent terminal voltages of one lane, with the source/drain
-/// exchange already resolved to forward (vds >= 0) coordinates.
-struct LaneVoltages {
-  double vds_eq = 0.0;  ///< pre-exchange NMOS-equivalent vds
-  double vgs_f = 0.0;   ///< forward-mode vgs
-  double vds_f = 0.0;   ///< forward-mode vds (>= 0)
-  bool reversed = false;
-};
-
-[[nodiscard]] LaneVoltages lane_voltages(const MosfetModel& m,
-                                         const std::vector<double>& x, int ud,
-                                         int ug, int us) {
-  const double vd = voltage_of(x, ud);
-  const double vg = voltage_of(x, ug);
-  const double vs = voltage_of(x, us);
-  const double sign = (m.polarity == MosPolarity::kNmos) ? 1.0 : -1.0;
-  LaneVoltages lv;
-  const double vgs = sign * (vg - vs);
-  lv.vds_eq = sign * (vd - vs);
-  lv.reversed = lv.vds_eq < 0.0;
-  lv.vgs_f = lv.reversed ? vgs - lv.vds_eq : vgs;
-  lv.vds_f = lv.reversed ? -lv.vds_eq : lv.vds_eq;
-  return lv;
-}
-
-/// Fold a forward-mode operating point back through the source/drain
-/// exchange (mosfet_evaluate's vds < 0 branch).
-[[nodiscard]] MosOperatingPoint unexchange(const MosOperatingPoint& fwd,
-                                           bool reversed) {
-  if (!reversed) return fwd;
-  MosOperatingPoint op;
-  op.id = -fwd.id;
-  op.gm = -fwd.gm;
-  op.gds = fwd.gm + fwd.gds;
-  return op;
-}
-
 }  // namespace
 
 MosOperatingPoint mosfet_evaluate(const MosfetModel& model,
@@ -160,7 +104,8 @@ MosOperatingPoint mosfet_evaluate(const MosfetModel& model,
                                   double vds) {
   if (vds >= 0.0) return evaluate_forward(model, dims, vgs, vds);
   // Source/drain exchange: id(vgs, vds) = -id'(vgs - vds, -vds).
-  return unexchange(evaluate_forward(model, dims, vgs - vds, -vds), true);
+  const MosOperatingPoint fwd = evaluate_forward(model, dims, vgs - vds, -vds);
+  return {.id = -fwd.id, .gm = -fwd.gm, .gds = fwd.gm + fwd.gds};
 }
 
 Mosfet::Mosfet(std::string name, sim::NodeId drain, sim::NodeId gate,
@@ -223,11 +168,10 @@ void Mosfet::stamp_cap(CapBranch& cap, const std::vector<double>& x,
   stamper.add_jacobian(cap.ub, cap.ua, -geq);
 }
 
-void Mosfet::stamp_channel(const MosOperatingPoint& eq,
-                           const std::vector<double>& x, sim::Stamper& stamper,
-                           const sim::LoadContext& ctx) {
-  const double sign = (model_.polarity == MosPolarity::kNmos) ? 1.0 : -1.0;
-  const double id = sign * eq.id;
+void Mosfet::load(const std::vector<double>& x, sim::Stamper& stamper,
+                  const sim::LoadContext& ctx) {
+  MosOperatingPoint eq;
+  const double id = channel_current(x, &eq);
 
   // With v_eq = sign*(v - vs) the chain rule gives polarity-independent
   // partials: d id / d vg = gm, d id / d vd = gds, d id / d vs = -(gm+gds).
@@ -248,90 +192,6 @@ void Mosfet::stamp_channel(const MosOperatingPoint& eq,
     stamp_cap(cgd_, x, stamper, ctx);
     stamp_cap(cdb_, x, stamper, ctx);
     stamp_cap(csb_, x, stamper, ctx);
-  }
-}
-
-void Mosfet::load(const std::vector<double>& x, sim::Stamper& stamper,
-                  const sim::LoadContext& ctx) {
-  MosOperatingPoint eq;
-  (void)channel_current(x, &eq);
-  stamp_channel(eq, x, stamper, ctx);
-}
-
-void Mosfet::load_lanes(sim::Device* const* peers,
-                        const sim::LaneLoadView* views, std::size_t m) {
-  // The SoA gather assumes one equation set across lanes; Monte-Carlo lanes
-  // only vary parameters, but guard anyway and fall back to the scalar loop.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (static_cast<const Mosfet*>(peers[i])->model_.level != model_.level) {
-      Device::load_lanes(peers, views, m);
-      return;
-    }
-  }
-
-  thread_local std::vector<double> arg;
-  thread_local std::vector<double> sp;
-  thread_local std::vector<double> sg;
-  thread_local std::vector<LaneVoltages> lv;
-  lv.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const Mosfet*>(peers[i]);
-    lv[i] = lane_voltages(dev.model_, *views[i].x, dev.ud_, dev.ug_, dev.us_);
-  }
-
-  if (model_.level == MosfetLevel::kEkv) {
-    // One fused kernel sweep over both normalized overdrives of every lane:
-    // arg = [af0, ar0, af1, ar1, ...].
-    arg.resize(2 * m);
-    sp.resize(2 * m);
-    sg.resize(2 * m);
-    for (std::size_t i = 0; i < m; ++i) {
-      const MosfetModel& mm = static_cast<const Mosfet*>(peers[i])->model_;
-      const double nvt2 = 2.0 * mm.n * mm.v_thermal;
-      arg[2 * i] = (lv[i].vgs_f - mm.vt0) / nvt2;
-      arg[2 * i + 1] = (lv[i].vgs_f - mm.vt0 - mm.n * lv[i].vds_f) / nvt2;
-    }
-    numeric::vecmath::softplus_sigmoid_v(arg.data(), sp.data(), sg.data(),
-                                         2 * m);
-    for (std::size_t i = 0; i < m; ++i) {
-      auto& dev = *static_cast<Mosfet*>(peers[i]);
-      const MosOperatingPoint eq =
-          unexchange(ekv_from_kernels(dev.model_, dev.dims_, lv[i].vds_f,
-                                      sp[2 * i], sp[2 * i + 1], sg[2 * i],
-                                      sg[2 * i + 1]),
-                     lv[i].reversed);
-      dev.stamp_channel(eq, *views[i].x, *views[i].stamper, *views[i].ctx);
-    }
-    return;
-  }
-
-  // Square law: two dependent kernel rounds (the drain-saturation argument
-  // needs the overdrive from the first round).
-  arg.resize(m);
-  sp.resize(m);
-  sg.resize(m);
-  thread_local std::vector<double> vov;
-  thread_local std::vector<double> dvov;
-  vov.resize(m);
-  dvov.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const MosfetModel& mm = static_cast<const Mosfet*>(peers[i])->model_;
-    arg[i] = (lv[i].vgs_f - mm.vt0) / kSmooth;
-  }
-  numeric::vecmath::softplus_sigmoid_v(arg.data(), sp.data(), sg.data(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    vov[i] = kSmooth * sp[i];
-    dvov[i] = sg[i];
-    arg[i] = (vov[i] - lv[i].vds_f) / kSmooth;
-  }
-  numeric::vecmath::softplus_sigmoid_v(arg.data(), sp.data(), sg.data(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    auto& dev = *static_cast<Mosfet*>(peers[i]);
-    const MosOperatingPoint eq = unexchange(
-        square_law_from_kernels(dev.model_, dev.dims_, lv[i].vds_f, vov[i],
-                                dvov[i], sp[i], sg[i]),
-        lv[i].reversed);
-    dev.stamp_channel(eq, *views[i].x, *views[i].stamper, *views[i].ctx);
   }
 }
 

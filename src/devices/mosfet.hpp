@@ -77,13 +77,6 @@ class Mosfet final : public sim::Device {
   void setup(sim::Circuit& circuit) override;
   void load(const std::vector<double>& x, sim::Stamper& stamper,
             const sim::LoadContext& ctx) override;
-  /// Relaxed-determinism batched evaluation: gathers every lane's EKV (or
-  /// square-law) overdrive arguments into one SoA block, runs the fused
-  /// numeric::vecmath softplus+sigmoid kernel across all lanes, and stamps
-  /// each lane in exactly load()'s order. ULP-level difference vs load().
-  [[nodiscard]] bool supports_lane_load() const override { return true; }
-  void load_lanes(sim::Device* const* peers, const sim::LaneLoadView* views,
-                  std::size_t m) override;
   void load_ac(const std::vector<double>& x_op, sim::AcStamper& ac,
                double omega) override;
   void init_state(const std::vector<double>& x_op) override;
@@ -116,10 +109,6 @@ class Mosfet final : public sim::Device {
                                        MosOperatingPoint* op = nullptr) const;
   void stamp_cap(CapBranch& cap, const std::vector<double>& x,
                  sim::Stamper& stamper, const sim::LoadContext& ctx) const;
-  /// Channel + capacitance stamps from an already-evaluated NMOS-equivalent
-  /// operating point — the shared tail of load() and load_lanes().
-  void stamp_channel(const MosOperatingPoint& eq, const std::vector<double>& x,
-                     sim::Stamper& stamper, const sim::LoadContext& ctx);
 
   sim::NodeId d_, g_, s_, b_;
   MosfetModel model_;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "devices/common.hpp"
-#include "numeric/vecmath.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -81,50 +80,6 @@ void Ptm::load(const std::vector<double>& x, sim::Stamper& stamper,
   const double g = 1.0 / resistance_cached(s_eval);
   stamper.add_conductance(up_, un_, g, voltage_of(x, up_),
                           voltage_of(x, un_));
-}
-
-void Ptm::load_lanes(sim::Device* const* peers, const sim::LaneLoadView* views,
-                     std::size_t m) {
-  // The batched path assumes one resistance law across lanes (true for
-  // Monte-Carlo parameter draws); mixed laws fall back to the scalar loop.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (static_cast<const Ptm*>(peers[i])->params_.law != params_.law) {
-      Device::load_lanes(peers, views, m);
-      return;
-    }
-  }
-
-  thread_local std::vector<double> r;
-  r.resize(m);
-  if (params_.law == PtmResistanceLaw::kLinear) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& dev = *static_cast<const Ptm*>(peers[i]);
-      const auto& ctx = *views[i].ctx;
-      const double s_eval = (ctx.mode == sim::AnalysisMode::kTransient)
-                                ? dev.projected_phase(ctx.dt)
-                                : dev.s_;
-      r[i] = (1.0 - s_eval) * dev.params_.r_ins + s_eval * dev.params_.r_met;
-    }
-  } else {
-    thread_local std::vector<double> arg;
-    arg.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& dev = *static_cast<const Ptm*>(peers[i]);
-      const auto& ctx = *views[i].ctx;
-      const double s_eval = (ctx.mode == sim::AnalysisMode::kTransient)
-                                ? dev.projected_phase(ctx.dt)
-                                : dev.s_;
-      arg[i] = (1.0 - s_eval) * dev.log_r_ins_ + s_eval * dev.log_r_met_;
-    }
-    numeric::vecmath::exp_v(arg.data(), r.data(), m);
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const Ptm*>(peers[i]);
-    const auto& x = *views[i].x;
-    views[i].stamper->add_conductance(dev.up_, dev.un_, 1.0 / r[i],
-                                      voltage_of(x, dev.up_),
-                                      voltage_of(x, dev.un_));
-  }
 }
 
 void Ptm::load_ac(const std::vector<double>& /*x_op*/, sim::AcStamper& ac,

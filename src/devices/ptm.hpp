@@ -65,12 +65,6 @@ class Ptm final : public sim::Device {
   void setup(sim::Circuit& circuit) override;
   void load(const std::vector<double>& x, sim::Stamper& stamper,
             const sim::LoadContext& ctx) override;
-  /// Relaxed-determinism batched evaluation. Linear-law lanes are plain
-  /// arithmetic; logarithmic-law lanes share one numeric::vecmath exp sweep
-  /// over the cached log-resistance interpolants.
-  [[nodiscard]] bool supports_lane_load() const override { return true; }
-  void load_lanes(sim::Device* const* peers, const sim::LaneLoadView* views,
-                  std::size_t m) override;
   void load_ac(const std::vector<double>& x_op, sim::AcStamper& ac,
                double omega) override;
   void init_state(const std::vector<double>& x_op) override;

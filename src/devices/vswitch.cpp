@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "devices/common.hpp"
-#include "numeric/vecmath.hpp"
 #include "util/error.hpp"
 
 namespace softfet::devices {
@@ -55,47 +54,6 @@ void VSwitch::load(const std::vector<double>& x, sim::Stamper& stamper,
   stamper.add_jacobian(up_, ucn_, -didc);
   stamper.add_jacobian(un_, ucp_, -didc);
   stamper.add_jacobian(un_, ucn_, didc);
-}
-
-void VSwitch::load_lanes(sim::Device* const* peers,
-                         const sim::LaneLoadView* views, std::size_t m) {
-  thread_local std::vector<double> arg;
-  thread_local std::vector<double> s;
-  arg.resize(m);
-  s.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const VSwitch*>(peers[i]);
-    const auto& x = *views[i].x;
-    const double vc = voltage_of(x, dev.ucp_) - voltage_of(x, dev.ucn_);
-    const double z = (vc - dev.params_.v_threshold) / dev.params_.v_width;
-    arg[i] = std::clamp(z, -60.0, 60.0);
-  }
-  numeric::vecmath::sigmoid_v(arg.data(), s.data(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& dev = *static_cast<const VSwitch*>(peers[i]);
-    const auto& x = *views[i].x;
-    const double vp = voltage_of(x, dev.up_);
-    const double vn = voltage_of(x, dev.un_);
-    const double g_on = 1.0 / dev.params_.r_on;
-    const double g_off = 1.0 / dev.params_.r_off;
-    const double g = g_off + (g_on - g_off) * s[i];
-    const double dg_dvc = (g_on - g_off) * s[i] * (1.0 - s[i]) /
-                          dev.params_.v_width;
-    const double v = vp - vn;
-    const double current = g * v;
-    sim::Stamper& stamper = *views[i].stamper;
-    stamper.add_residual(dev.up_, current);
-    stamper.add_residual(dev.un_, -current);
-    stamper.add_jacobian(dev.up_, dev.up_, g);
-    stamper.add_jacobian(dev.up_, dev.un_, -g);
-    stamper.add_jacobian(dev.un_, dev.up_, -g);
-    stamper.add_jacobian(dev.un_, dev.un_, g);
-    const double didc = dg_dvc * v;
-    stamper.add_jacobian(dev.up_, dev.ucp_, didc);
-    stamper.add_jacobian(dev.up_, dev.ucn_, -didc);
-    stamper.add_jacobian(dev.un_, dev.ucp_, -didc);
-    stamper.add_jacobian(dev.un_, dev.ucn_, didc);
-  }
 }
 
 void VSwitch::load_ac(const std::vector<double>& x_op, sim::AcStamper& ac,

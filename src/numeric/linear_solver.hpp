@@ -10,10 +10,11 @@
 // unrelated patterns is safe but forfeits the caching.
 //
 // Value reuse (sparse path): when a matrix repeats, bit for bit, the one the
-// cached factors were last refactored from (SparseLu::holds), the factor
-// call is skipped and the cached factors answer. Refactoring identical
-// input would rebuild identical factors, so results do not move; a linear
-// circuit stepping at a constant dt repeats its Jacobian on every step. The
+// cached factors were last factored from (SparseLu::holds), the factor call
+// is skipped and the cached factors answer. Factoring identical input again
+// would rebuild factors that solve alike, so results do not move; a linear
+// circuit repeats its Jacobian from its operating point's second Newton
+// iteration on, and on every step at a constant dt. The
 // dense path (kDenseThreshold unknowns or fewer) always factors: its
 // nonlinear Jacobians change on every iteration.
 //

@@ -248,6 +248,7 @@ void SparseLu::analyze(const SparseMatrix& a) {
   }
 
   work_.assign(n, 0.0);
+  holds_ = true;
 }
 
 bool SparseLu::try_refactor(const SparseMatrix& a) {

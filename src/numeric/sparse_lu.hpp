@@ -24,10 +24,10 @@
 // refactorization path is identical in shape whether or not the matrix was
 // reordered.
 //
-// After a numeric refactorization the object keeps a copy of the matrix it
-// factored, and holds(a) tells a caller (LinearSolver) whether `a` is that
-// matrix bit for bit, so the factors can be reused without calling factor().
-// factor() itself always does the work it is asked for.
+// After a factorization the object keeps a copy of the matrix it factored,
+// and holds(a) tells a caller (LinearSolver) whether `a` is that matrix bit
+// for bit, so the factors can be reused without calling factor(). factor()
+// itself always does the work it is asked for.
 #pragma once
 
 #include <cstddef>
@@ -56,11 +56,10 @@ class SparseLu {
   /// reused and only the numeric elimination runs.
   void factor(const SparseMatrix& a);
 
-  /// True when the cached factors came from a numeric refactorization of a
-  /// matrix with `a`'s pattern and, bit for bit, `a`'s values: refactoring
-  /// `a` again would reproduce them exactly. False after an analysis (a
-  /// refactor of the same values could still trip the pivot-degradation
-  /// check) and after a factor() that threw.
+  /// True when the cached factors came from a factorization of a matrix
+  /// with `a`'s pattern and, bit for bit, `a`'s values: factoring `a` again
+  /// would reproduce their solves exactly, whether it refactors or (after
+  /// a degraded pivot) re-analyzes. False after a factor() that threw.
   [[nodiscard]] bool holds(const SparseMatrix& a) const;
 
   /// True when a factorization is cached and solve() is callable.
@@ -117,9 +116,9 @@ class SparseLu {
   std::vector<std::size_t> perm_;  ///< factored row i came from A row perm_[i]
 
   // A as the last successful factor() saw it: its row offsets and entries
-  // in A's own flat row-major order (a_entries_' values are those of the
-  // last refactorization, and describe the cached factors only while
-  // holds_ is set), and the permuted column each entry scatters to.
+  // in A's own flat row-major order (a_entries_' values describe the
+  // cached factors only while holds_ is set), and the permuted column each
+  // entry scatters to.
   std::vector<std::size_t> a_offsets_;
   std::vector<SparseMatrix::Entry> a_entries_;
   std::vector<std::size_t> a_scatter_;

@@ -38,9 +38,10 @@ constexpr double kMaxMonteCarloLanes = 64.0;
                                 double fallback, double lo, double hi) {
   const double v = std::trunc(request.payload.number_or(key, fallback));
   if (!(v >= lo && v <= hi)) {
-    throw Error(std::string("monte_carlo \"") + key + "\" must be in [" +
-                std::to_string(static_cast<long long>(lo)) + ", " +
-                std::to_string(static_cast<long long>(hi)) + "]");
+    throw RequestError(std::string("monte_carlo \"") + key +
+                       "\" must be in [" +
+                       std::to_string(static_cast<long long>(lo)) + ", " +
+                       std::to_string(static_cast<long long>(hi)) + "]");
   }
   return v;
 }
@@ -123,8 +124,7 @@ void apply_determinism(const Request& request, sim::SimOptions& options) {
       return;
     }
   }
-  throw Error(
-      "\"determinism\" must be \"bitwise\" or \"relaxed\"");
+  throw RequestError("\"determinism\" must be \"bitwise\" or \"relaxed\"");
 }
 
 }  // namespace
@@ -133,7 +133,7 @@ JobHandler netlist_job_handler() {
   return [](const Request& request, JobContext& ctx) {
     const JsonValue* netlist = request.payload.get("netlist");
     if (netlist == nullptr || !netlist->is_string()) {
-      throw Error("netlist job needs a string \"netlist\" field");
+      throw RequestError("netlist job needs a string \"netlist\" field");
     }
 
     // Content-addressed AST; a cache-less context (direct handler use in

@@ -45,6 +45,14 @@ struct Request {
 /// when id/type are missing or not strings.
 [[nodiscard]] Request parse_request(const std::string& line);
 
+/// A job's payload fields are missing, mistyped or out of range. Handlers
+/// throw it before any work runs; the `error` event reports it as
+/// kErrorInvalidRequest.
+class RequestError : public Error {
+ public:
+  explicit RequestError(const std::string& what) : Error(what) {}
+};
+
 /// Rejection codes (the `code` field of `rejected` events).
 inline constexpr const char* kRejectOverloaded = "overloaded";
 inline constexpr const char* kRejectInvalid = "invalid";
@@ -56,6 +64,9 @@ inline constexpr const char* kErrorInvalidCircuit = "invalid_circuit";
 inline constexpr const char* kErrorConvergence = "convergence";
 inline constexpr const char* kErrorBudget = "budget_exhausted";
 inline constexpr const char* kErrorInternal = "internal";
+/// A job payload field is missing, of the wrong type or out of range (see
+/// RequestError): the client's mistake, final, never rerun.
+inline constexpr const char* kErrorInvalidRequest = "invalid_request";
 /// Process isolation: the worker process died (signal, nonzero exit,
 /// missed heartbeats, or blown job deadline). The event's `crash` object
 /// carries the forensics: reason, wait status, and — when the worker's

@@ -736,6 +736,8 @@ JsonValue error_event_fields(const std::exception& error,
     }
   } else if (dynamic_cast<const InvalidCircuitError*>(&error) != nullptr) {
     code = kErrorInvalidCircuit;
+  } else if (dynamic_cast<const RequestError*>(&error) != nullptr) {
+    code = kErrorInvalidRequest;
   } else if (const auto* budget =
                  dynamic_cast<const BudgetExceededError*>(&error)) {
     code = kErrorBudget;

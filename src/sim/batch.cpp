@@ -4,19 +4,17 @@
 // drives at K=1, step control, Newton iteration and recovery ladder
 // included. What this file keeps is what only a batch needs: the round
 // (each live lane advances one Newton iteration), the scatter of the lanes'
-// Jacobians into one BatchDenseLu factor/solve, the relaxed device-major
-// load plan, and eviction of the lanes whose run the batch cannot finish.
+// Jacobians into one BatchDenseLu factor/solve, and eviction of the lanes
+// whose run the batch cannot finish.
 #include "sim/batch.hpp"
 
 #include <algorithm>
 #include <deque>
-#include <typeinfo>
 
 #include "numeric/batch_lu.hpp"
 #include "numeric/linear_solver.hpp"
 #include "sim/analyses.hpp"
 #include "sim/detail.hpp"
-#include "sim/device.hpp"
 #include "sim/step_control.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
@@ -41,7 +39,6 @@ class BatchEngine {
 
   void run() {
     for (std::size_t k = 0; k < lanes_.size(); ++k) init_lane(k);
-    build_lane_plan();
     if (n_ > 0) {
       lu_.configure(n_, lanes_.size());
       b_.assign(n_ * lanes_.size(), 0.0);
@@ -50,9 +47,7 @@ class BatchEngine {
     }
 
     std::vector<std::size_t> round;
-    std::vector<std::size_t> staged;
     round.reserve(lanes_.size());
-    staged.reserve(lanes_.size());
     while (true) {
       round.clear();
       // Zero every lane column at once (cheaper than per-lane strided
@@ -62,24 +57,8 @@ class BatchEngine {
       // measured slower: it turns every accumulate into a scattered
       // read-modify-write in the middle of the device-model code.)
       std::fill(lu_.values(), lu_.values() + n_ * n_ * lanes_.size(), 0.0);
-      if (!lane_plan_ok_) {
-        // Bitwise contract (or no uniform device plan): each lane loads
-        // its devices with scalar math.
-        for (std::size_t k = 0; k < lanes_.size(); ++k) {
-          if (open(k) && load(k) && close(k)) join_round(k, round);
-        }
-      } else {
-        // Relaxed contract: open every live lane's load, evaluate the
-        // devices column-major across all of them (SIMD across lanes),
-        // then close out each load.
-        staged.clear();
-        for (std::size_t k = 0; k < lanes_.size(); ++k) {
-          if (open(k)) staged.push_back(k);
-        }
-        load_round(staged);
-        for (const std::size_t k : staged) {
-          if (!outcomes_[k].evicted && close(k)) join_round(k, round);
-        }
+      for (std::size_t k = 0; k < lanes_.size(); ++k) {
+        if (open(k) && load(k) && close(k)) join_round(k, round);
       }
       bool any_active = false;
       for (std::size_t k = 0; k < lanes_.size(); ++k) {
@@ -174,74 +153,6 @@ class BatchEngine {
     return lanes_[k].residual_finite();
   }
 
-  /// Decide, once per run, whether the relaxed device-major load phase can
-  /// drive the lanes: every live lane must expose the same device sequence
-  /// (count and dynamic type per position — Monte-Carlo lanes are clones,
-  /// so this holds). Columns whose type implements load_lanes run batched;
-  /// the rest fall back to per-lane scalar loads inside load_round.
-  void build_lane_plan() {
-    lane_plan_ok_ = false;
-    if (options_.determinism != Determinism::kRelaxedUlp) return;
-    std::vector<const Circuit*> live;
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      if (active(k)) live.push_back(&lanes_[k].circuit);
-    }
-    if (live.empty()) return;
-    const auto& ref = live.front()->devices();
-    for (const Circuit* circuit : live) {
-      if (circuit->devices().size() != ref.size()) return;
-    }
-    column_batched_.assign(ref.size(), 0);
-    for (std::size_t j = 0; j < ref.size(); ++j) {
-      bool batched = ref[j]->supports_lane_load();
-      const std::type_info& type = typeid(*ref[j]);
-      for (const Circuit* circuit : live) {
-        batched = batched && typeid(*circuit->devices()[j]) == type;
-      }
-      column_batched_[j] = batched ? 1 : 0;
-    }
-    lane_plan_ok_ = true;
-  }
-
-  /// Device-major load phase of one relaxed round: column j of every
-  /// staged lane is evaluated together — batched through load_lanes when
-  /// the column supports it, per-lane scalar otherwise.
-  void load_round(const std::vector<std::size_t>& staged) {
-    for (std::size_t j = 0; j < column_batched_.size(); ++j) {
-      live_.clear();
-      peers_.clear();
-      views_.clear();
-      for (const std::size_t k : staged) {
-        if (outcomes_[k].evicted) continue;
-        Lane& lane = lanes_[k];
-        live_.push_back(k);
-        peers_.push_back(lane.circuit.devices()[j].get());
-        views_.push_back({&lane.x_new, &lane.stamper, &lane.ctx});
-      }
-      if (live_.empty()) return;
-      if (column_batched_[j] != 0) {
-        try {
-          peers_[0]->load_lanes(peers_.data(), views_.data(), peers_.size());
-        } catch (const Error& e) {
-          // A batched evaluation cannot attribute the throw to one lane;
-          // hand every staged lane back to the scalar engine.
-          for (const std::size_t k : live_) {
-            evict(k, std::string("device load (batched): ") + e.what());
-          }
-          return;
-        }
-      } else {
-        for (std::size_t i = 0; i < live_.size(); ++i) {
-          try {
-            peers_[i]->load(*views_[i].x, *views_[i].stamper, *views_[i].ctx);
-          } catch (const Error& e) {
-            evict(live_[i], std::string("device load: ") + e.what());
-          }
-        }
-      }
-    }
-  }
-
   /// Give lane k the round's next batch slot and copy its staged load
   /// (the lane Jacobian's rows) into that SoA column and RHS.
   void join_round(std::size_t k, std::vector<std::size_t>& round) {
@@ -281,13 +192,6 @@ class BatchEngine {
   std::vector<double> b_;
   std::vector<double> dx_soa_;
   std::vector<std::uint8_t> ok_;
-
-  // Relaxed device-major plan (build_lane_plan) and per-round scratch.
-  bool lane_plan_ok_ = false;
-  std::vector<std::uint8_t> column_batched_;
-  std::vector<std::size_t> live_;
-  std::vector<Device*> peers_;
-  std::vector<LaneLoadView> views_;
 };
 
 }  // namespace

@@ -12,8 +12,7 @@
 // Each lane is a detail::TransientLane, the one transient engine that
 // run_transient drives at K=1 (step control, Newton iteration and recovery
 // ladder — see step_control.hpp). This engine adds only the round: lane
-// packing, Jacobian scatter, the batch LU, the relaxed device-major load
-// plan, and eviction.
+// packing, Jacobian scatter, the batch LU, and eviction.
 //
 // Determinism contract: a lane that runs to completion executes exactly the
 // floating-point operation sequence of scalar run_transient on the same

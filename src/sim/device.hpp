@@ -1,7 +1,6 @@
 // Device interface: every circuit element implements this.
 #pragma once
 
-#include <cstddef>
 #include <limits>
 #include <string>
 #include <utility>
@@ -35,17 +34,6 @@ inline constexpr double kNeverTime = std::numeric_limits<double>::infinity();
 /// A named probe value (e.g. {"id(m1)", 1.2e-5}).
 using Probe = std::pair<std::string, double>;
 
-/// One lane of a batched (relaxed-determinism) device load: the lane's
-/// solution vector, its stamp sink, and its per-lane context. The batch
-/// engine guarantees every view of one load_lanes call shares the same
-/// netlist topology — peers[i] is the *same* device (same name, same nodes,
-/// possibly different parameters) in lane i's circuit clone.
-struct LaneLoadView {
-  const std::vector<double>* x = nullptr;
-  Stamper* stamper = nullptr;
-  const LoadContext* ctx = nullptr;
-};
-
 class Device {
  public:
   explicit Device(std::string name) : name_(std::move(name)) {}
@@ -63,28 +51,6 @@ class Device {
   /// Add this device's residual and Jacobian contributions at solution `x`.
   virtual void load(const std::vector<double>& x, Stamper& stamper,
                     const LoadContext& ctx) = 0;
-
-  // --- Batched (relaxed-determinism) evaluation ------------------------
-
-  /// True when this device implements load_lanes with vectorized math. The
-  /// batch engine only calls load_lanes under SimOptions' kRelaxedUlp mode
-  /// and only when every lane's device at this position reports support.
-  [[nodiscard]] virtual bool supports_lane_load() const { return false; }
-
-  /// Evaluate this device across `m` lanes at once. `peers[i]` is lane i's
-  /// instance of this device (peers[0] == this); `views[i]` carries lane
-  /// i's solution, stamper, and context. Implementations gather per-lane
-  /// operating points into SoA blocks, run the vecmath kernels across all
-  /// lanes, and scatter stamps back per lane — in exactly the same
-  /// add_residual/add_jacobian order as load() so the Jacobian's stamp
-  /// tape replays. The default is the scalar loop (bitwise-identical
-  /// fallback).
-  virtual void load_lanes(Device* const* peers, const LaneLoadView* views,
-                          std::size_t m) {
-    for (std::size_t i = 0; i < m; ++i) {
-      peers[i]->load(*views[i].x, *views[i].stamper, *views[i].ctx);
-    }
-  }
 
   // --- State hooks (defaults are no-ops for memoryless devices) --------
 

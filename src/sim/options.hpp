@@ -6,19 +6,17 @@
 
 namespace softfet::sim {
 
-/// Floating-point reproducibility contract of a run.
+/// Floating-point reproducibility contract a run asks for. Both modes run
+/// the same engine today, so every result is bit-for-bit identical to the
+/// scalar reference engine either way; the mode is a label that diagnostics
+/// echo and checkpoint tags pin.
 enum class Determinism {
   /// Every result is bit-for-bit identical to the scalar reference engine.
-  /// Batched lanes may share factor/solve structure but device model math
-  /// stays scalar, capping the batched speedup (the documented ≈2.8×
-  /// Amdahl ceiling of EXPERIMENTS.md).
   kBitwise,
-  /// Device models may evaluate across lanes with the SIMD vecmath kernels
-  /// (numeric/vecmath.hpp). Results agree with the scalar engine only to
-  /// the kernels' documented ULP bounds — still deterministic for a given
-  /// binary and lane-independent (the kernels are elementwise), but not
-  /// bitwise-equal to kBitwise runs. Checkpoints are tagged with the mode
-  /// so resumes never silently mix rounding regimes.
+  /// Results need only agree with the scalar engine to within ULP-level
+  /// rounding. The engine does not use that freedom, so relaxed runs equal
+  /// bitwise runs; checkpoints are still tagged with the mode so a resume
+  /// never mixes the two contracts.
   kRelaxedUlp,
 };
 
@@ -66,11 +64,7 @@ struct SimOptions {
   }
 
   // --- Reproducibility --------------------------------------------------
-  /// Floating-point contract (see Determinism above). kBitwise keeps every
-  /// analysis bit-for-bit equal to the scalar reference engine; kRelaxedUlp
-  /// lets the batched Monte-Carlo engine evaluate device models across
-  /// lanes with SIMD kernels, trading ULP-level agreement for throughput
-  /// beyond the bitwise Amdahl ceiling.
+  /// Floating-point contract (see Determinism above).
   Determinism determinism = Determinism::kBitwise;
 
   // --- Run budget -------------------------------------------------------

@@ -11,7 +11,7 @@
 // Every engine runs the same iteration (drive() is the one-lane loop):
 //
 //   begin_iteration   iteration head; false once the lane has ended;
-//   (device loads)    load_devices(), or the batch's device-major pass;
+//   load_devices      every device's load at the iterate;
 //   end_load          gmin shunts; false when the stamp pattern departed;
 //   residual_finite   false: the solve failed and the lane moved on;
 //   (solve)           J·dx = -F into dx;
@@ -104,12 +104,10 @@ struct TransientLane {
   TranResult& out;
   const util::BudgetTimer& budget;
 
-  LoadContext ctx;            ///< load context of the solve in flight
   std::vector<double> x_new;  ///< iterate of the solve in flight
   numeric::SparseMatrix jacobian;
   std::vector<double> residual;
   std::vector<double> dx;  ///< the engine solves into this
-  Stamper stamper{jacobian, residual};
   util::BudgetStop stop = util::BudgetStop::kNone;  ///< why it truncated
 
  private:
@@ -164,6 +162,8 @@ struct TransientLane {
   int note_attempt(const char* strategy);
   void mark_succeeded(int attempt);
 
+  LoadContext ctx;  ///< load context of the solve in flight
+  Stamper stamper{jacobian, residual};
   Ladder ladder;
   State state_ = State::kSolving;
   double t = 0.0;

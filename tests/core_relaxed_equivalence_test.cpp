@@ -1,12 +1,11 @@
 // Relaxed-determinism mode (SimOptions::determinism = kRelaxedUlp) vs the
-// scalar bitwise oracle: trajectories and Monte-Carlo statistics agree
-// within the tolerance oracle for every lane width and thread count,
-// relaxed results are themselves bitwise reproducible across lane packings
-// (the kernels are elementwise, so packing is a pure execution detail),
-// and the checkpoint tag guard refuses strict<->relaxed resume in both
-// directions.
+// scalar bitwise oracle: relaxed runs the bitwise engine, so trajectories
+// and Monte-Carlo statistics equal the oracle bit for bit for every lane
+// width and thread count, and the checkpoint tag guard still refuses
+// strict<->relaxed resume in both directions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,7 +17,6 @@
 #include "devices/ptm.hpp"
 #include "sim/analyses.hpp"
 #include "sim/batch.hpp"
-#include "tolerance_oracle.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 
@@ -26,25 +24,8 @@ namespace sc = softfet::core;
 namespace sd = softfet::devices;
 namespace ss = softfet::sim;
 namespace su = softfet::util;
-namespace st = softfet::testing;
 
 namespace {
-
-// Oracle budgets for relaxed mode. The kernels diverge from libm by
-// <= 8 ULP (~1e-15 relative), but the transient loop amplifies that
-// discontinuously: LTE accept/reject decisions flip and the PTM threshold
-// events shift by femtoseconds, so the two runs take different adaptive
-// grids. Voltages (continuous) get a 1e-3 amplitude budget with a ±0.5 ps
-// event-shift window; the ps-wide current spikes are sampled at different
-// grid phases, so their pointwise budget is 10% while their net charge
-// (sampling-immune) must match to 1e-3; statistics get 2e-3 relative
-// (observed worst ~6e-4 on delay_std — delay is quantized by the step
-// controller at the few-fs level). A real model error (wrong formula,
-// swapped lane) lands orders of magnitude outside all of these.
-constexpr double kTranRtol = 1e-3;
-constexpr double kTranSpikeRtol = 0.1;
-constexpr double kTranTimeTol = 0.5e-12;
-constexpr double kStatsRtol = 2e-3;
 
 softfet::cells::InverterTestbenchSpec soft_base() {
   softfet::cells::InverterTestbenchSpec spec;
@@ -58,6 +39,22 @@ ss::SimOptions relaxed_options() {
   ss::SimOptions options;
   options.determinism = ss::Determinism::kRelaxedUlp;
   return options;
+}
+
+void expect_tran_bitwise(const ss::TranResult& got,
+                         const ss::TranResult& want) {
+  ASSERT_EQ(got.time.size(), want.time.size());
+  for (std::size_t i = 0; i < want.time.size(); ++i) {
+    ASSERT_EQ(got.time[i], want.time[i]);
+  }
+  for (const auto& name : want.table.names()) {
+    const auto& a = got.table.signal(name);
+    const auto& b = want.table.signal(name);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << name << "[" << i << "]";
+    }
+  }
 }
 
 void expect_stats_bitwise(const sc::MonteCarloStats& a,
@@ -115,25 +112,14 @@ TEST(RelaxedEquivalence, DefaultModeIsBitwise) {
   ASSERT_EQ(outcomes.size(), 2u);
   for (const auto& outcome : outcomes) {
     ASSERT_FALSE(outcome.evicted) << outcome.eviction_reason;
-    ASSERT_EQ(outcome.tran.time.size(), scalar.time.size());
-    for (std::size_t i = 0; i < scalar.time.size(); ++i) {
-      ASSERT_EQ(outcome.tran.time[i], scalar.time[i]);
-    }
-    for (const auto& name : scalar.table.names()) {
-      const auto& a = outcome.tran.table.signal(name);
-      const auto& b = scalar.table.signal(name);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << name << "[" << i << "]";
-      }
-    }
+    expect_tran_bitwise(outcome.tran, scalar);
     EXPECT_EQ(outcome.tran.diagnostics.determinism, "bitwise");
   }
 }
 
-// Relaxed batched trajectories track the scalar bitwise engine within the
-// tolerance oracle, and the diagnostics echo the active mode.
-TEST(RelaxedEquivalence, RelaxedTranWithinToleranceOfScalar) {
+// Relaxed batched trajectories equal the scalar bitwise engine's bit for
+// bit, and the diagnostics echo the requested mode.
+TEST(RelaxedEquivalence, RelaxedTranBitwiseEqualsScalar) {
   const double v_imts[] = {0.33, 0.38, 0.44, 0.48};
 
   auto make_bench = [&](double v_imt) {
@@ -160,17 +146,14 @@ TEST(RelaxedEquivalence, RelaxedTranWithinToleranceOfScalar) {
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
     SCOPED_TRACE("lane " + std::to_string(k));
     ASSERT_FALSE(outcomes[k].evicted) << outcomes[k].eviction_reason;
-    st::expect_tran_close(outcomes[k].tran, scalar[k], kTranRtol,
-                          kTranSpikeRtol, kTranTimeTol);
+    expect_tran_bitwise(outcomes[k].tran, scalar[k]);
     EXPECT_EQ(outcomes[k].tran.diagnostics.determinism, "relaxed");
   }
 }
 
-// Relaxed Monte-Carlo statistics pass the oracle against the scalar
-// bitwise engine across lane widths {1, 4, 8, auto} and thread counts —
-// the acceptance matrix. lanes=1 routes through the scalar engine, so it
-// stays bitwise equal to the oracle even in relaxed mode.
-TEST(RelaxedEquivalence, McStatsWithinToleranceAcrossLanesAndThreads) {
+// Relaxed Monte-Carlo statistics equal the scalar bitwise oracle's bit for
+// bit across lane widths {1, 4, 8, auto} and thread counts.
+TEST(RelaxedEquivalence, McStatsBitwiseAcrossLanesAndThreads) {
   sc::MonteCarloSpec oracle_spec;
   oracle_spec.samples = 23;
   oracle_spec.seed = 42;
@@ -188,19 +171,14 @@ TEST(RelaxedEquivalence, McStatsWithinToleranceAcrossLanesAndThreads) {
           sc::ptm_monte_carlo(soft_base(), spec, relaxed_options());
       SCOPED_TRACE("lanes=" + std::to_string(lanes) +
                    " threads=" + std::to_string(threads));
-      if (lanes == 1) {
-        expect_stats_bitwise(got, oracle);
-      } else {
-        st::expect_stats_close(got, oracle, kStatsRtol);
-      }
+      expect_stats_bitwise(got, oracle);
     }
   }
 }
 
-// Lane packing is a pure execution detail even in relaxed mode: the
-// kernels are elementwise (element i depends only on input i), so the same
-// sample produces the same bits whether it runs in a 4-lane block, an
-// 8-lane block, or a ragged tail — and for any thread count.
+// Lane packing is a pure execution detail in relaxed mode: the same sample
+// produces the same bits whether it runs in a 4-lane block, an 8-lane
+// block, or a ragged tail — and for any thread count.
 TEST(RelaxedEquivalence, RelaxedResultsBitwiseAcrossLanePackings) {
   sc::MonteCarloSpec base_spec;
   base_spec.samples = 23;
@@ -282,9 +260,8 @@ TEST(RelaxedCheckpoint, CrossModeResumeRefusedBothWays) {
 }
 
 // Same-mode relaxed resume: a killed relaxed batched run resumes to
-// statistics bitwise equal to an uninterrupted relaxed run (stronger than
-// the within-tolerance requirement — hexfloat payloads plus deterministic
-// kernels make the resume exact).
+// statistics bitwise equal to an uninterrupted relaxed run (hexfloat
+// payloads make the resume exact).
 TEST(RelaxedCheckpoint, SameModeRelaxedResumeReproduces) {
   TempFile file("mc_det_relaxed_resume.ckpt");
 

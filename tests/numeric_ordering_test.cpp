@@ -458,6 +458,16 @@ std::size_t expect_oracle_match(const sn::SparseMatrix& a,
               0)
         << what << ", right-hand side " << r;
   }
+  // factor() of the same values refactors (or re-analyzes, where a reused
+  // pivot degrades), and must solve to the analysis' bits: that is what
+  // lets the analysis vouch for its values (SparseLu::holds).
+  lu.factor(a);
+  for (std::size_t r = 0; r < bs.size(); ++r) {
+    const auto x = lu.solve(bs[r]);
+    EXPECT_EQ(std::memcmp(x.data(), expected[r].data(), n * sizeof(double)),
+              0)
+        << what << ", refactor, right-hand side " << r;
+  }
   return n;
 }
 

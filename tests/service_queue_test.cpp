@@ -463,6 +463,7 @@ TEST(Server, MonteCarloDeterminismFieldSelectsModeAndRejectsUnknown) {
   const auto bad = out.events("mx");
   ASSERT_FALSE(bad.empty());
   EXPECT_EQ(bad.back().string_or("event", ""), "error");
+  EXPECT_EQ(bad.back().string_or("code", ""), ss::kErrorInvalidRequest);
   EXPECT_NE(bad.back().string_or("message", "").find("determinism"),
             std::string::npos);
 
@@ -495,6 +496,7 @@ TEST(Server, MonteCarloDeterminismFieldSelectsModeAndRejectsUnknown) {
     const auto events = out.events(row.id);
     ASSERT_FALSE(events.empty());
     EXPECT_EQ(events.back().string_or("event", ""), "error");
+    EXPECT_EQ(events.back().string_or("code", ""), ss::kErrorInvalidRequest);
     EXPECT_NE(events.back().string_or("message", "").find(
                   std::string("\"") + row.field + "\" must be in"),
               std::string::npos)
